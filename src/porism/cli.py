@@ -6,14 +6,13 @@ validation error (bad scene, unknown suite, bad arguments).
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .algebra import pn_polynomial
 from .closure import (
+    _random_fraction,
     dual_chain,
     generate_closing,
     porism_holds,
@@ -35,10 +34,13 @@ from .suites import run_suite
 from .svg import render_scene
 
 _CHAIN_TRIES = 60
+# the roots of P_{n-1} are 2cos(k pi/n), k = 1 .. n-1; by Niven's theorem the
+# only rational ones are 0, 1 and -1, at k/n = 1/2, 1/3 and 2/3
+_RATIONAL_ROOTS = {Fraction(1, 2): 0, Fraction(1, 3): 1, Fraction(2, 3): -1}
 
 
 def _sample_exact_start(rng: random.Random) -> ConicParam:
-    return ConicParam(Fraction(rng.randint(-60, 60), rng.randint(1, 20)))
+    return ConicParam(_random_fraction(rng, 60, 20))
 
 
 def cmd_verify(args) -> int:
@@ -126,25 +128,6 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _exact_roots(poly) -> list[Fraction]:
-    coeffs = list(poly.coeffs)
-    roots = []
-    if coeffs and coeffs[0] == 0:
-        roots.append(Fraction(0))
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if not coeffs:
-        return roots
-    constant = abs(coeffs[0].numerator)
-    candidates = {d for d in range(1, constant + 1) if constant % d == 0}
-    for magnitude in sorted(candidates):
-        for sign in (1, -1):
-            x = Fraction(sign * magnitude)
-            if poly(x) == 0:
-                roots.append(x)
-    return sorted(roots)
-
-
 def cmd_twolines(args) -> int:
     if args.mode == "check":
         if args.x is None:
@@ -156,20 +139,13 @@ def cmd_twolines(args) -> int:
     if args.n < 2:
         print("error: roots mode needs --n >= 2", file=sys.stderr)
         return 2
-    poly = pn_polynomial(args.n - 1)
-    exact = _exact_roots(poly)
-    # highest-first float coefficients for the numeric localizer
-    float_coeffs = [float(c) for c in reversed(poly.coeffs)]
-    numeric = sorted(float(r.real) for r in np.roots(float_coeffs))
     print(f"closure parameter values for n={args.n}:")
-    for r in numeric:
-        match = next((e for e in exact if abs(float(e) - r) < 1e-9), None)
-        if match is not None:
-            num, den = match.numerator, match.denominator
-            shown = f"{num}" if den == 1 else f"{num}/{den}"
-            print(f"  x = {shown} (exact)")
+    for k in range(args.n - 1, 0, -1):  # ascending values
+        exact = _RATIONAL_ROOTS.get(Fraction(k, args.n))
+        if exact is not None:
+            print(f"  x = {exact} (exact)")
         else:
-            print(f"  x ~ {r:.6f} (irrational)")
+            print(f"  x ~ {2 * math.cos(k * math.pi / args.n):.6f} (irrational)")
     return 0
 
 

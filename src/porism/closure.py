@@ -21,11 +21,13 @@ from typing import Optional, Sequence
 from .algebra import Mat2, is_scalar_multiple_of_identity
 from .conic import (
     chord,
+    is_tangent,
     line_conic_params,
     on_conic,
     other_tangent_param,
     polar,
     pole,
+    tangency_discriminant,
     tangent_at,
     tangents_from,
     veronese,
@@ -43,7 +45,7 @@ from .errors import (
     MixedBackend,
     NotClosed,
 )
-from .fields import FLOAT_TOL, Scalar
+from .fields import Scalar
 from .involution import InvolutionChain, closing_center_locus, fregier
 from .plane import (
     ConicParam,
@@ -211,38 +213,23 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
     return PolygonChain("dual", tuple(params), vertices, closed, 2 * config.n)
 
 
-def _primal_targets(n: int) -> list[int]:
-    # line indices for A_2 .. A_{2n+1}: cyclic, twice around, back to L_1
-    one_pass = list(range(1, n)) + [0]
-    return (one_pass * 2)[:2 * n]
-
-
-def primal_chain(
-    config: LineConfiguration, start: ProjPoint, branch: str = "first"
-) -> PolygonChain:
-    """Trace the tangent-edge polygon from a start vertex on the first line.
-
-    The first edge takes the deterministically ordered first tangent from the
-    start ("second" selects the other); every later edge is the tangent other
-    than the incoming one. Works on the exact backend (staying inside one
-    quadratic extension) and on the float backend.
-    """
-    _require_valid(config)
+def _tangent_walk(
+    lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], branch: str
+) -> tuple[list[ProjPoint], list[ConicParam]]:
+    """The walk behind primal_chain and concurrent_tangent_chain: from a
+    start vertex on lines[0], draw the tangent that branch selects, meet it
+    with lines[target] for each target in turn, and leave every vertex by its
+    other tangent. Returns the start plus one vertex per target, and the
+    tangency parameters of the edges between them."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
-    lines = config.lines
-    if start.kind != config.kind:
-        if start.kind == "float":
-            lines = config.as_float().lines
-        else:
-            raise MixedBackend("exact start against a float configuration")
     if not incident(lines[0], start):
         raise DegenerateStart(f"{start!r} is not on the first line")
     if on_conic(start):
         raise DegenerateStart(f"{start!r} lies on the conic")
     for l in lines[1:]:
         if incident(l, start):
-            raise DegenerateStart(f"{start!r} lies on a second configuration line")
+            raise DegenerateStart(f"{start!r} lies on a second line of the walk")
     roots = tangents_from(start)
     if not roots.params:
         raise FieldInsufficient(
@@ -255,16 +242,15 @@ def primal_chain(
         raise DegenerateStart("float walk hit the parameter at infinity")
     vertices = [start]
     edge_params = [t]
-    n = config.n
     try:
-        for target in _primal_targets(n):
+        for step, target in enumerate(targets):
             vertex = meet(tangent_at(t), lines[target])
             if vertex == vertices[-1]:
                 raise DegenerateStart(f"stalled at {vertex!r}")
             if on_conic(vertex):
                 raise DegenerateStart(f"vertex {vertex!r} fell on the conic")
             vertices.append(vertex)
-            if len(vertices) == 2 * n + 1:
+            if step == len(targets) - 1:
                 break
             t = other_tangent_param(vertex, t)
             if is_float and t.is_infinite:
@@ -272,18 +258,34 @@ def primal_chain(
             edge_params.append(t)
     except (CoincidentLines, CoincidentPoints, EqualParameters) as exc:
         raise DegenerateStart(str(exc)) from exc
+    return vertices, edge_params
+
+
+def primal_chain(
+    config: LineConfiguration, start: ProjPoint, branch: str = "first"
+) -> PolygonChain:
+    """Trace the tangent-edge polygon from a start vertex on the first line,
+    through L_2, ..., L_n, L_1, ..., L_n, L_1.
+
+    The first edge takes the deterministically ordered first tangent from the
+    start ("second" selects the other); every later edge is the tangent other
+    than the incoming one. Works on the exact backend (staying inside one
+    quadratic extension) and on the float backend.
+    """
+    _require_valid(config)
+    lines = config.lines
+    if start.kind != config.kind:
+        if start.kind == "float":
+            lines = config.as_float().lines
+        else:
+            raise MixedBackend("exact start against a float configuration")
+    n = config.n
+    targets = [i % n for i in range(1, 2 * n + 1)]
+    vertices, edge_params = _tangent_walk(lines, start, targets, branch)
     closed = vertices[-1] == vertices[0]
     return PolygonChain(
         "primal", tuple(edge_params), tuple(vertices), closed, 2 * n
     )
-
-
-def _tangent_line_check(l: ProjLine, tol: float = FLOAT_TOL) -> bool:
-    l0, l1, l2 = l.coords
-    disc = l1 * l1 - 4 * l0 * l2
-    if l.kind == "exact":
-        return disc == 0
-    return abs(disc) <= tol * 10
 
 
 def well_inscribed(chain: PolygonChain, config: LineConfiguration) -> bool:
@@ -310,7 +312,7 @@ def well_inscribed(chain: PolygonChain, config: LineConfiguration) -> bool:
         for j in range(i + 1, len(polygon)):
             if polygon[i] == polygon[j]:
                 return False
-    if not all(_tangent_line_check(e) for e in edges):
+    if not all(is_tangent(e) for e in edges):
         return False
     lines = config.lines if config.kind == polygon[0].kind else config.as_float().lines
     for line in lines:
@@ -348,56 +350,33 @@ def concurrent_tangent_chain(
             raise InvalidConfiguration(f"{l!r} is tangent to the conic")
     if start.kind != lines[0].kind:
         raise MixedBackend("start and lines from different backends")
-    if not incident(lines[0], start):
-        raise DegenerateStart(f"{start!r} is not on the first line")
-    if on_conic(start):
-        raise DegenerateStart(f"{start!r} lies on the conic")
-    for l in lines[1:]:
-        if incident(l, start):
-            raise DegenerateStart(f"{start!r} lies on a second pencil line")
-    roots = tangents_from(start)
-    if not roots.params:
-        raise FieldInsufficient(f"no expressible tangents from {start!r}")
-    is_float = start.kind == "float"
-    t = roots.params[0 if branch == "first" else 1]
-    if is_float and t.is_infinite:
-        raise DegenerateStart("float walk hit the parameter at infinity")
-    vertices = [start]
-    edge_params = [t]
-    targets = [i % m for i in range(1, 2 * m)]  # P_2 .. P_{2m}, cyclic pencil
-    try:
-        for step, target in enumerate(targets):
-            vertex = meet(tangent_at(t), lines[target])
-            if vertex == vertices[-1]:
-                raise DegenerateStart(f"stalled at {vertex!r}")
-            if on_conic(vertex):
-                raise DegenerateStart(f"vertex {vertex!r} fell on the conic")
-            vertices.append(vertex)
-            if step < len(targets) - 1:
-                t = other_tangent_param(vertex, t)
-                if is_float and t.is_infinite:
-                    raise DegenerateStart("float walk hit the parameter at infinity")
-                edge_params.append(t)
-        if vertices[-1] == vertices[0]:
-            raise DegenerateStart("walk returned to the start vertex early")
-        closing = join(vertices[-1], vertices[0])
-    except (CoincidentLines, CoincidentPoints, EqualParameters) as exc:
-        raise DegenerateStart(str(exc)) from exc
-    l0, l1, l2 = closing.coords
-    disc = l1 * l1 - 4 * l0 * l2
-    tangent = disc == 0 if closing.kind == "exact" else abs(disc) <= FLOAT_TOL * 10
+    # P_2 .. P_{2m}, visiting the pencil cyclically
+    targets = [i % m for i in range(1, 2 * m)]
+    vertices, edge_params = _tangent_walk(lines, start, targets, branch)
+    if vertices[-1] == vertices[0]:
+        raise DegenerateStart("walk returned to the start vertex early")
+    closing = join(vertices[-1], vertices[0])
     return TangentClosure(
-        tuple(vertices), tuple(edge_params), closing, tangent, disc
+        tuple(vertices),
+        tuple(edge_params),
+        closing,
+        is_tangent(closing),
+        tangency_discriminant(closing),
     )
 
 
-def _random_fraction(rng: random.Random, span: int = 9) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+def _random_fraction(
+    rng: random.Random, span: int = 9, den_span: Optional[int] = None
+) -> Fraction:
+    """The seeded sampler every generator draws from: numerator in
+    [-span, span], denominator in [1, den_span], which defaults to span."""
+    return Fraction(rng.randint(-span, span), rng.randint(1, den_span or span))
 
 
-def _random_point(rng: random.Random) -> ProjPoint:
+def _random_point(rng: random.Random, span: int = 9) -> ProjPoint:
+    """A point with _random_fraction coordinates, redrawn while all are zero."""
     while True:
-        coords = tuple(_random_fraction(rng) for _ in range(3))
+        coords = tuple(_random_fraction(rng, span) for _ in range(3))
         if any(coords):
             return ProjPoint(*coords)
 

@@ -9,10 +9,6 @@ through a projectivity, never by generalizing these formulas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
-
 from .errors import (
     EqualParameters,
     FieldInsufficient,
@@ -36,6 +32,22 @@ def on_conic(p: ProjPoint, tol: float = FLOAT_TOL) -> bool:
     if p.kind == "exact":
         return value == 0
     return abs(value) <= tol * 3
+
+
+def tangency_discriminant(l: ProjLine):
+    """l1^2 - 4 l0 l2, the discriminant of the parameter quadratic
+    l2 t^2 + l1 t + l0 whose roots are where l meets the conic."""
+    l0, l1, l2 = l.coords
+    return l1 * l1 - 4 * l0 * l2
+
+
+def is_tangent(l: ProjLine, tol: float = FLOAT_TOL) -> bool:
+    """Whether l touches the conic: a zero tangency discriminant (exact, or
+    within 10 tol for floats, whose coordinates have max-norm 1)."""
+    disc = tangency_discriminant(l)
+    if l.kind == "exact":
+        return disc == 0
+    return abs(disc) <= tol * 10
 
 
 def veronese(t: ConicParam) -> ProjPoint:
@@ -149,16 +161,6 @@ def tangents_from(p: ProjPoint) -> ParamRoots:
         raise PointOnConic(f"{p!r} lies on the conic; tangency is not a pair")
     x0, x1, x2 = p.coords
     return _quadratic_params(x0, -2 * x1, x2)
-
-
-@dataclass(frozen=True)
-class TangencyRecord:
-    """One tangency event along a chain: the parameter, its tangent line, and
-    the vertex the tangent was drawn from (absent for seed tangents)."""
-
-    parameter: ConicParam
-    line: ProjLine
-    vertex: Optional[ProjPoint] = None
 
 
 def other_tangent_param(p: ProjPoint, t_in: ConicParam) -> ConicParam:

@@ -138,11 +138,6 @@ class InvolutionChain:
         return InvolutionChain(self.members + (f,))
 
 
-def product(chain: InvolutionChain) -> MobiusMap:
-    """The composition of the chain, first member applied first."""
-    return chain.product
-
-
 def aligned_centers_involutive(chain: InvolutionChain) -> bool:
     """Whether an odd-length chain composes to an involution.
 

@@ -41,11 +41,10 @@ def _coerce_scalar(x) -> Scalar:
 def _normalize(coords: tuple) -> tuple[tuple, str]:
     """Canonical representative of a projective coordinate tuple.
 
-    Exact tuples: divide by the first nonzero entry, then clear denominators
-    and common numerator content, so the leading entry is a positive rational.
-    Float tuples: divide by the largest magnitude and make the first
-    significant entry positive. Plain ints are neutral and adopt the backend
-    of the other entries (exact when alone).
+    Exact tuples: the multiple that _exact_canonical picks. Float tuples:
+    divide by the largest magnitude and make the first significant entry
+    positive. Plain ints are neutral and adopt the backend of the other
+    entries (exact when alone).
     """
     kinds = set()
     for c in coords:
@@ -82,6 +81,14 @@ def _normalize(coords: tuple) -> tuple[tuple, str]:
     if not any(coords):
         # Fraction(0) is falsy; QuadExt is always truthy
         raise ValueError("zero is not a projective coordinate tuple")
+    return _exact_canonical(coords), kind
+
+
+def _exact_canonical(coords: tuple) -> tuple:
+    """The canonical multiple of a nonzero tuple of exact scalars: divide by
+    the first nonzero entry, then clear denominators and common numerator
+    content, so the leading entry is a positive rational. Shared by
+    projective triples and Mobius matrices."""
     lead = next(c for c in coords if c != 0)
     scaled = [c / lead for c in coords]
     nums: list[int] = []
@@ -93,7 +100,7 @@ def _normalize(coords: tuple) -> tuple[tuple, str]:
                 nums.append(abs(f.numerator))
                 dens.append(f.denominator)
     factor = Fraction(math.lcm(*dens), math.gcd(*nums))
-    return tuple(c * factor for c in scaled), kind
+    return tuple(c * factor for c in scaled)
 
 
 class _ProjTriple:
@@ -308,7 +315,7 @@ class MobiusMap:
         if mat.det() == 0:
             raise ValueError(f"singular matrix {entries!r}")
         self.mat = mat
-        self._canon = _canonical_quad(entries)
+        self._canon = _exact_canonical(entries)
 
     @classmethod
     def from_mat2(cls, m: Mat2) -> "MobiusMap":
@@ -333,21 +340,6 @@ class MobiusMap:
     def __repr__(self):
         m = self.mat
         return f"MobiusMap([[{m.a}, {m.b}], [{m.c}, {m.d}]])"
-
-
-def _canonical_quad(entries: tuple) -> tuple:
-    lead = next(c for c in entries if c != 0)
-    scaled = [c / lead for c in entries]
-    nums: list[int] = []
-    dens: list[int] = []
-    for c in scaled:
-        parts = (c.a, c.b) if isinstance(c, QuadExt) else (c,)
-        for f in parts:
-            if f != 0:
-                nums.append(abs(f.numerator))
-                dens.append(f.denominator)
-    factor = Fraction(math.lcm(*dens), math.gcd(*nums))
-    return tuple(c * factor for c in scaled)
 
 
 def mobius_apply(g: MobiusMap, t: ConicParam) -> ConicParam:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Optional, Union
 
 from .algebra import det3
-from .closure import LineConfiguration, concurrent_tangent_chain
+from .closure import _random_fraction, _random_point, concurrent_tangent_chain
 from .conic import on_conic
 from .errors import (
     CenterOnConic,
@@ -54,6 +53,7 @@ from .plane import (
 
 GOLDEN = 0x9E3779B97F4A7C15
 MAX_RESAMPLES = 200
+SPAN = 12  # numerators in [-SPAN, SPAN], denominators in [1, SPAN]
 
 
 def trial_seed(seed: int, index: int) -> int:
@@ -72,11 +72,7 @@ def _bump(tally: Optional[ResampleTally], discarded: int) -> None:
         tally.resamples += discarded
 
 
-def _rand_fraction(rng: random.Random, span: int = 12) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
-
-
-def _distinct_params(rng: random.Random, count: int, span: int = 12):
+def _distinct_params(rng: random.Random, count: int, span: int = SPAN):
     seen = set()
     out = []
     guard = 0
@@ -84,7 +80,7 @@ def _distinct_params(rng: random.Random, count: int, span: int = 12):
         guard += 1
         if guard > 50 * count:
             raise GenerationExhausted("cannot sample distinct parameters")
-        t = ConicParam(_rand_fraction(rng, span))
+        t = ConicParam(_random_fraction(rng, span))
         if t not in seen:
             seen.add(t)
             out.append(t)
@@ -93,8 +89,8 @@ def _distinct_params(rng: random.Random, count: int, span: int = 12):
 
 def _random_secant_line(rng: random.Random) -> ProjLine:
     while True:
-        p = ProjPoint(*(_rand_fraction(rng) for _ in range(3)))
-        q = ProjPoint(*(_rand_fraction(rng) for _ in range(3)))
+        p = _random_point(rng, SPAN)
+        q = _random_point(rng, SPAN)
         if p != q:
             return join(p, q)
 
@@ -133,7 +129,7 @@ def make_two_instance(
         pair_b = (ConicParam(t3), ConicParam(t4))
         u = involution_from_fixed(*pair_a)
         locus = closing_center_locus(InvolutionChain([u]))
-        s = ConicParam(_rand_fraction(rng))
+        s = ConicParam(_random_fraction(rng, SPAN))
         center = point_on_line(locus, s)
         if on_conic(center):
             continue
@@ -321,13 +317,13 @@ def make_dalignes_instance(
 
     for attempt in range(MAX_RESAMPLES):
         m = count if count is not None else rng.choice((3, 5))
-        apex = ProjPoint(*(_rand_fraction(rng) for _ in range(3)))
+        apex = _random_point(rng, SPAN)
         lines = []
         seen = set()
         guard = 0
         while len(lines) < m and guard < 50 * m:
             guard += 1
-            other = ProjPoint(*(_rand_fraction(rng) for _ in range(3)))
+            other = _random_point(rng, SPAN)
             if other == apex:
                 continue
             l = join(apex, other)
@@ -337,7 +333,7 @@ def make_dalignes_instance(
             lines.append(l)
         if len(lines) < m:
             continue
-        start = point_on_line(lines[0], ConicParam(_rand_fraction(rng)))
+        start = point_on_line(lines[0], ConicParam(_random_fraction(rng, SPAN)))
         if on_conic(start) or any(incident(l, start) for l in lines[1:]):
             continue
         instance = DalignesInstance(tuple(lines), start)
@@ -452,30 +448,21 @@ def run_trial(
 
 
 def run_suite(suite: Union[str, Suite], trials: int, seed: int) -> TrialReport:
-    """Fan the seeded trials out over a small thread pool.
+    """Run the seeded trials in index order, sharing one resample tally.
 
-    Each trial depends only on its own derived seed, so completion order
-    cannot change the report: failures are keyed and sorted by trial index.
+    Each trial depends only on its own derived seed, so a recorded failure
+    replays from that seed alone.
     """
     resolved = resolve_suite(suite)
     if trials < 1:
         raise ValueError("need at least one trial")
     started = time.perf_counter()
-
-    def one(index: int) -> tuple[Optional[TrialFailure], int]:
-        tseed = trial_seed(seed, index)
-        tally = ResampleTally()
-        instance, ok = run_trial(resolved, tseed, tally)
-        failure = None if ok else TrialFailure(index, tseed, repr(instance))
-        return failure, tally.resamples
-
+    tally = ResampleTally()
     failures = []
-    resamples = 0
-    with ThreadPoolExecutor(max_workers=min(8, trials)) as pool:
-        for failure, discarded in pool.map(one, range(trials)):
-            resamples += discarded
-            if failure is not None:
-                failures.append(failure)
-    failures.sort(key=lambda f: f.index)
+    for index in range(trials):
+        tseed = trial_seed(seed, index)
+        instance, ok = run_trial(resolved, tseed, tally)
+        if not ok:
+            failures.append(TrialFailure(index, tseed, repr(instance)))
     elapsed = time.perf_counter() - started
-    return TrialReport(resolved.name, trials, tuple(failures), resamples, elapsed)
+    return TrialReport(resolved.name, trials, tuple(failures), tally.resamples, elapsed)

@@ -1,8 +1,14 @@
 """End-to-end command line behavior via main(argv)."""
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import porism
 from porism.cli import main
 from porism.plane import ConicParam, ProjLine
 from porism.scene import SceneDocument, load_scene, save_scene, serialize
@@ -100,6 +106,35 @@ def test_twolines_roots_irrational(capsys):
     assert main(["twolines", "--mode", "roots", "--n", "4"]) == 0
     out = capsys.readouterr().out
     assert "1.414214" in out
+
+
+def test_twolines_roots_are_the_closed_form_at_n_48(capsys):
+    assert main(["twolines", "--mode", "roots", "--n", "48"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "closure parameter values for n=48:"
+    assert len(rows[1:]) == 47
+    exact_rows = []
+    for k, row in zip(range(47, 0, -1), rows[1:]):
+        expected = 2 * math.cos(k * math.pi / 48)
+        if row.endswith("(exact)"):
+            exact_rows.append(row)
+        else:
+            assert row.endswith("(irrational)")
+            expected = round(expected, 6)  # the printed precision
+        assert abs(float(row.split()[2]) - expected) < 1e-12
+    assert exact_rows == ["  x = -1 (exact)", "  x = 0 (exact)", "  x = 1 (exact)"]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(porism.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, porism.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_twolines_check(capsys):

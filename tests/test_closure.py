@@ -283,6 +283,9 @@ def test_concurrent_tangent_chain_three_lines():
     assert len(closure.vertices) == 6
     assert closure.closing_tangent
     assert closure.discriminant == 0
+    # the pencil walk shares primal_chain's branch check
+    with pytest.raises(ValueError):
+        concurrent_tangent_chain(lines, closure.vertices[0], branch="third")
 
 
 def test_concurrent_tangent_chain_five_lines():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from porism.conic import (
     chord,
     conic_form,
+    is_tangent,
     line_conic_params,
     on_conic,
     other_tangent_param,
@@ -95,6 +96,15 @@ def test_tangent_is_polar_of_point(t):
     assert tangent_at(t) == polar(veronese(t))
     roots = line_conic_params(tangent_at(t))
     assert roots.double and roots.params == (t,)
+    assert is_tangent(tangent_at(t))
+
+
+def test_is_tangent_exact_and_float():
+    assert not is_tangent(chord(ConicParam(0), ConicParam(1)))
+    # tangent at 1/3 on floats: the discriminant rounds but stays within tolerance
+    floated = ProjLine(*(float(c) for c in tangent_at(ConicParam(Fraction(1, 3))).coords))
+    assert is_tangent(floated)
+    assert not is_tangent(ProjLine(1.0, -2.0, 1.0 + 1e-6))
 
 
 def test_polar_pole_frozen():

@@ -23,7 +23,6 @@ from porism.involution import (
     involution_from_fixed,
     moebius_check,
     pascal_line,
-    product,
     share_fixed_point,
 )
 from porism.plane import (
@@ -143,7 +142,6 @@ def test_aligned_triple_frozen():
     assert chain.members[1].map == MobiusMap(1, 1, 1, -1)
     assert chain.members[2].map == MobiusMap(2, 1, 1, -2)
     assert chain.product == MobiusMap(1, 3, 3, -1)
-    assert product(chain) == chain.product
     assert aligned_centers_involutive(chain)
     w_center = center_of(chain.product)
     assert w_center == ProjPoint(3, 1, -3)

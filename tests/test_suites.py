@@ -73,9 +73,21 @@ def test_resample_tally_counts():
 
 
 def test_tally_reaches_generators():
-    tally = ResampleTally()
-    run_trial("two", trial_seed(1, 0), tally)
-    assert tally.resamples >= 0
+    tallies = [ResampleTally() for _ in range(10)]
+    for index, tally in enumerate(tallies):
+        run_trial("two", trial_seed(1, index), tally)
+    per_trial = sum(tally.resamples for tally in tallies)
+    # seed 1 resamples at least once in its first ten "two" trials
+    assert per_trial > 0
+    assert run_suite("two", trials=10, seed=1).resamples == per_trial
+
+
+def test_dalignes_redraws_an_all_zero_point():
+    # trial 1711 of seed 0 draws (0:0:0) for a pencil point; the sampler must
+    # redraw it rather than abort the whole run
+    instance, ok = run_trial("dalignes", trial_seed(0, 1711))
+    assert ok
+    assert len(instance.lines) in (3, 5)
 
 
 def test_unknown_suite_and_bad_trials():
