@@ -1,5 +1,6 @@
-"""Exact linear and polynomial algebra: Mat2/Mat3, dense rational polynomials,
-and the closure polynomials P_n with P_0 = 1, P_1 = x, P_n = x P_{n-1} - P_{n-2}.
+"""Exact linear and polynomial algebra: Mat2, 3x3 determinants, dense
+rational polynomials, and the closure polynomials P_n with P_0 = 1, P_1 = x,
+P_n = x P_{n-1} - P_{n-2}.
 """
 from __future__ import annotations
 
@@ -186,8 +187,12 @@ def mat2_power(m: Mat2, n: int) -> Mat2:
     if n < 0:
         raise ValueError("n must be nonnegative")
     result = Mat2.identity()
-    for _ in range(n):
-        result = result * m
+    while n:  # square and multiply
+        if n & 1:
+            result = result * m
+        n >>= 1
+        if n:
+            m = m * m
     return result
 
 
@@ -196,28 +201,7 @@ def is_scalar_multiple_of_identity(m: Mat2) -> bool:
     return bool(m.b == 0 and m.c == 0 and m.a == m.d)
 
 
-class Mat3:
-    """3x3 matrix over exact scalars; enough for determinants and polarity."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("Mat3 needs a 3x3 grid")
-        self.rows = rows
-
-    def det(self):
-        (a, b, c), (d, e, f), (g, h, i) = self.rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    def apply(self, v: tuple) -> tuple:
-        return tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in self.rows)
-
-    def __repr__(self):
-        return f"Mat3({self.rows!r})"
-
-
 def det3(p: tuple, q: tuple, r: tuple):
     """Determinant of three coordinate triples (rows)."""
-    return Mat3((p, q, r)).det()
+    (a, b, c), (d, e, f), (g, h, i) = p, q, r
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

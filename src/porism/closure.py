@@ -14,6 +14,7 @@ and edges tangent to the conic.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -86,10 +87,9 @@ class LineConfiguration:
             raise InvalidConfiguration("need at least two lines")
         if len({l.kind for l in lines}) != 1:
             raise MixedBackend("configuration lines from different backends")
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                if lines[i] == lines[j]:
-                    raise InvalidConfiguration(f"repeated line {lines[i]!r}")
+        repeated = _repeats(lines)
+        if repeated:
+            raise InvalidConfiguration(f"repeated line {repeated[0]!r}")
         self.lines = lines
         self._report: Optional[ValidityReport] = None
         self._poles: Optional[tuple[ProjPoint, ...]] = None
@@ -126,14 +126,28 @@ def validate(config: LineConfiguration) -> ValidityReport:
         groups.append(tuple(roots.params))
         if roots.double:
             tangent_members.append(i)
-    flat = [p for group in groups for p in group]
-    repeated = []
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            if flat[i] == flat[j] and flat[i] not in repeated:
-                repeated.append(flat[i])
+    repeated = _repeats([p for group in groups for p in group])
     valid = not tangent_members and not repeated
     return ValidityReport(valid, tuple(tangent_members), tuple(repeated), tuple(groups))
+
+
+def _repeats(items: Sequence) -> list:
+    """The values that occur more than once in items, each as its first
+    occurrence, in order of first occurrence.
+
+    Exact values are counted by hash. Float values compare within a
+    tolerance, which no hash can agree with, so they are unhashable and
+    compared pairwise instead."""
+    try:
+        counts = Counter(items)
+    except TypeError:
+        repeated = []
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                if items[i] == items[j] and items[i] not in repeated:
+                    repeated.append(items[i])
+        return repeated
+    return [x for x, k in counts.items() if k > 1]
 
 
 def _require_valid(config: LineConfiguration):

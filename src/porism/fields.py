@@ -33,10 +33,25 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _signed_square(b: Fraction, d: Fraction) -> Fraction:
-    # b*sqrt(d) is determined exactly by sign(b) * b^2 * d, used for eq/hash
-    # across different d generating the same field.
-    return b * abs(b) * d
+def _signed_square(b: Fraction, d: Fraction) -> tuple[int, int]:
+    # b*sqrt(d) is determined exactly by sign(b) * b^2 * d, used for equality
+    # across different d generating the same field: an unreduced numerator
+    # and denominator, compared by cross-multiplication over the integers
+    p, q = b.numerator, b.denominator
+    return p * abs(p) * d.numerator, q * q * d.denominator
+
+
+def _ext(a: Fraction, b: Fraction, d: Fraction) -> Fraction | QuadExt:
+    """a + b*sqrt(d) for Fraction components and a d already known to be a
+    non-square, demoted to a when b = 0: the constructor of arithmetic
+    results, which skips the checks of QuadExt()."""
+    if not b:
+        return a
+    x = object.__new__(QuadExt)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
 
 
 class QuadExt:
@@ -88,7 +103,7 @@ class QuadExt:
         if parts is None:
             return self._refuse(other)
         oa, ob = parts
-        return quadext(self.a + oa, self.b + ob, self.d)
+        return _ext(self.a + oa, self.b + ob, self.d)
 
     __radd__ = __add__
 
@@ -97,21 +112,21 @@ class QuadExt:
         if parts is None:
             return self._refuse(other)
         oa, ob = parts
-        return quadext(self.a - oa, self.b - ob, self.d)
+        return _ext(self.a - oa, self.b - ob, self.d)
 
     def __rsub__(self, other):
         parts = self._split(other)
         if parts is None:
             return self._refuse(other)
         oa, ob = parts
-        return quadext(oa - self.a, ob - self.b, self.d)
+        return _ext(oa - self.a, ob - self.b, self.d)
 
     def __mul__(self, other):
         parts = self._split(other)
         if parts is None:
             return self._refuse(other)
         oa, ob = parts
-        return quadext(
+        return _ext(
             self.a * oa + self.b * ob * self.d,
             self.a * ob + self.b * oa,
             self.d,
@@ -122,7 +137,7 @@ class QuadExt:
     def inverse(self) -> "QuadExt":
         # norm = a^2 - b^2 d is nonzero for every nonzero element (d non-square)
         n = self.norm()
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return _ext(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         parts = self._split(other)
@@ -132,8 +147,8 @@ class QuadExt:
         if ob == 0:
             if oa == 0:
                 raise ZeroDivisionError("division by zero")
-            return quadext(self.a / oa, self.b / oa, self.d)
-        return self * QuadExt(oa, ob, self.d).inverse()
+            return _ext(self.a / oa, self.b / oa, self.d)
+        return self * _ext(oa, ob, self.d).inverse()
 
     def __rtruediv__(self, other):
         parts = self._split(other)
@@ -142,20 +157,25 @@ class QuadExt:
         oa, ob = parts
         inv = self.inverse()
         if ob == 0:
-            return quadext(oa * inv.a, oa * inv.b, self.d)
-        return QuadExt(oa, ob, self.d) * inv
+            return _ext(oa * inv.a, oa * inv.b, self.d)
+        return _ext(oa, ob, self.d) * inv
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
             return NotImplemented
         base: Scalar = self if exp >= 0 else self.inverse()
         result: Scalar = Fraction(1)
-        for _ in range(abs(exp)):
-            result = base * result
+        exp = abs(exp)
+        while exp:  # square and multiply
+            if exp & 1:
+                result = base * result
+            exp >>= 1
+            if exp:
+                base = base * base
         return result
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _ext(-self.a, -self.b, self.d)
 
     def __pos__(self):
         return self
@@ -163,12 +183,20 @@ class QuadExt:
     def __abs__(self):
         if self.d < 0:
             raise ValueError("no ordering on an imaginary extension")
-        return self if float(self) >= 0 else -self
+        # the exact sign: with a = 0 or a and b of one sign it is the sign
+        # of b; otherwise the larger of a^2 and b^2 d (never equal, d being
+        # a non-square) decides
+        a, b = self.a, self.b
+        if a == 0 or (a > 0) == (b > 0):
+            positive = b > 0
+        else:
+            positive = (a > 0) == (a * a > b * b * self.d)
+        return self if positive else -self
 
     # -- identity --------------------------------------------------------
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _ext(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2 d (product with the conjugate)."""
@@ -176,15 +204,20 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return self.a == other.a and _signed_square(self.b, self.d) == _signed_square(
-                other.b, other.d
-            )
+            if self.a != other.a:
+                return False
+            if self.d == other.d:
+                return self.b == other.b
+            n1, d1 = _signed_square(self.b, self.d)
+            n2, d2 = _signed_square(other.b, other.d)
+            return n1 * d2 == n2 * d1
         if isinstance(other, (int, Fraction)):
             return False  # b != 0 always
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, _signed_square(self.b, self.d)))
+        # equal elements share their rational part, whatever d generates the field
+        return hash(self.a)
 
     def __bool__(self):
         return True  # a + b*sqrt(d) with b != 0 is never zero
@@ -223,7 +256,7 @@ def sqrt_scalar(x: Scalar) -> Scalar:
         if x == 0:
             return Fraction(0)
         r = rational_sqrt(x)
-        return r if r is not None else QuadExt(0, 1, x)
+        return r if r is not None else _ext(Fraction(0), Fraction(1), x)
     if isinstance(x, QuadExt):
         return _quadext_sqrt(x)
     raise TypeError(f"not a scalar: {x!r}")
@@ -239,7 +272,7 @@ def _quadext_sqrt(x: QuadExt) -> QuadExt:
         p = rational_sqrt(p2)
         if p is not None and p != 0:
             q = x.b / (2 * p)
-            candidate = QuadExt(p, q, x.d)
+            candidate = _ext(p, q, x.d)
             if candidate * candidate == x:
                 return candidate
     raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({x.d}))")

@@ -11,6 +11,7 @@ dual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Mat2
@@ -102,6 +103,16 @@ def harmonic_product_test(u: FregierInvolution, v: FregierInvolution) -> bool:
     return is_involution(mobius_compose(u.map, v.map))
 
 
+def _int_entries(m: Mat2) -> tuple:
+    """The entries of m, with each integral Fraction as a plain int: the
+    centers of rational involutions are canonical, so chains of them
+    multiply over the integers instead of over Fractions."""
+    return tuple(
+        x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+        for x in m.entries()
+    )
+
+
 class InvolutionChain:
     """An ordered chain of involutions with its right-to-left product.
 
@@ -121,10 +132,11 @@ class InvolutionChain:
     @property
     def product(self) -> MobiusMap:
         if self._product is None:
-            mat = self.members[0].map.mat
+            a, b, c, d = _int_entries(self.members[0].map.mat)
             for f in self.members[1:]:
-                mat = f.map.mat * mat
-            self._product = MobiusMap.from_mat2(mat)
+                p, q, r, s = _int_entries(f.map.mat)
+                a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+            self._product = MobiusMap(a, b, c, d)
         return self._product
 
     @property

@@ -88,7 +88,17 @@ def _exact_canonical(coords: tuple) -> tuple:
     """The canonical multiple of a nonzero tuple of exact scalars: divide by
     the first nonzero entry, then clear denominators and common numerator
     content, so the leading entry is a positive rational. Shared by
-    projective triples and Mobius matrices."""
+    projective triples and Mobius matrices.
+
+    A tuple of Fractions comes out as the primitive integer tuple with a
+    positive leading entry, which is computed over the integers directly."""
+    if all(isinstance(c, Fraction) for c in coords):
+        scale = math.lcm(*(c.denominator for c in coords))
+        ints = [c.numerator * (scale // c.denominator) for c in coords]
+        content = math.gcd(*ints)
+        if next(i for i in ints if i) < 0:
+            content = -content
+        return tuple(Fraction(i // content) for i in ints)
     lead = next(c for c in coords if c != 0)
     scaled = [c / lead for c in coords]
     nums: list[int] = []
@@ -288,6 +298,9 @@ class ConicParam:
     def __hash__(self):
         if self.value is None:
             return hash(("ConicParam", "inf"))
+        if isinstance(self.value, float):
+            # equality within a tolerance has no hash that agrees with it
+            raise TypeError("float-backed conic parameters are unhashable")
         return hash(("ConicParam", self.value))
 
     def __repr__(self):

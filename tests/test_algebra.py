@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from porism.algebra import (
     Mat2,
-    Mat3,
     Polynomial,
     det3,
     is_scalar_multiple_of_identity,
@@ -93,11 +92,6 @@ def test_det3_frozen_values():
     assert det3((1, 0, 0), (0, 1, 0), (0, 0, 1)) == 1
     assert det3((1, 2, 3), (4, 5, 6), (7, 8, 9)) == 0
     assert det3((2, 0, 0), (0, 3, 0), (0, 0, 4)) == 24
-
-
-def test_mat3_apply():
-    m = Mat3(((1, 0, 0), (0, 2, 0), (0, 0, 3)))
-    assert m.apply((1, 1, 1)) == (1, 2, 3)
 
 
 @given(st.tuples(fractions, fractions, fractions),

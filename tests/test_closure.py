@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from porism.algebra import Mat2, is_scalar_multiple_of_identity, mat2_power, pn_polynomial
 from porism.closure import (
     LineConfiguration,
+    _repeats,
     TwoLineSystem,
     concurrent_tangent_chain,
     dual_chain,
@@ -77,6 +78,52 @@ def test_validate_cases():
     report = sharing.report
     assert not report.valid
     assert report.repeated_params == (ConicParam(Fraction(1)),)
+
+
+def _pairwise_repeats(items):
+    """_repeats' definition: each value with a later equal one, at its first
+    occurrence, in order."""
+    repeated = []
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if items[i] == items[j] and items[i] not in repeated:
+                repeated.append(items[i])
+    return repeated
+
+
+# 1 + sqrt(8) written over d = 2 and over d = 8, its conjugate, and a
+# neighbour with the same rational part in another field
+exact_params = st.one_of(
+    st.builds(ConicParam, st.fractions(min_value=-3, max_value=3, max_denominator=2)),
+    st.sampled_from(
+        [
+            INFINITY,
+            ConicParam(QuadExt(1, 2, 2)),
+            ConicParam(QuadExt(1, 1, 8)),
+            ConicParam(QuadExt(1, -1, 8)),
+            ConicParam(QuadExt(1, 1, 3)),
+        ]
+    ),
+)
+
+
+@given(st.lists(exact_params, max_size=12))
+def test_repeats_match_the_pairwise_scan(items):
+    fast, slow = _repeats(items), _pairwise_repeats(items)
+    assert fast == slow
+    assert [repr(x) for x in fast] == [repr(x) for x in slow]
+
+
+def test_repeats_of_float_values_compare_within_tolerance():
+    items = [ConicParam(0.5), INFINITY, ConicParam(-2.0), ConicParam(0.5 + 1e-12), INFINITY]
+    assert _repeats(items) == [ConicParam(0.5), INFINITY]
+    config = LineConfiguration(
+        [chord(ConicParam(Fraction(1)), ConicParam(Fraction(2))),
+         chord(ConicParam(Fraction(1)), ConicParam(Fraction(3)))]
+    ).as_float()
+    assert config.report.repeated_params == (ConicParam(1.0),)
+    with pytest.raises(InvalidConfiguration):
+        LineConfiguration([ProjLine(1.0, 0.0, -1.0), ProjLine(2.0, 0.0, -2.0 + 1e-12)])
 
 
 def test_poles_frozen():
@@ -246,6 +293,26 @@ def test_generate_closing_pole_alignment_by_n():
     config = generate_closing(4, seed=2)
     assert porism_holds(config)
     assert not collinear(poles_of(config))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_large_n_closing_and_random_configurations(seed):
+    n = 64
+    config = generate_closing(n, seed)
+    assert config.n == n and config.report.valid
+    assert porism_holds(config)
+    # line coefficients grow linearly in n: 208-251 bits at n = 64, seeds 0-2
+    bits = max(abs(c.numerator).bit_length() for l in config.lines for c in l.coords)
+    assert bits <= 6 * n
+    rng = random.Random(seed)
+    while True:
+        try:
+            chain = dual_chain(config, ConicParam(Fraction(rng.randint(-40, 40), rng.randint(1, 12))))
+        except DegenerateStart:
+            continue
+        break
+    assert chain.closed and well_inscribed(chain, config)
+    assert not porism_holds(random_configuration(n, seed))
 
 
 def test_random_configuration_generically_open():

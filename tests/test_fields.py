@@ -1,4 +1,5 @@
 """Scalar backends: rational square roots, quadratic extensions, kinds."""
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,17 @@ def test_quadext_negative_discriminant():
         abs(i)
 
 
+def test_quadext_abs_decides_the_sign_exactly():
+    # 10^20 - sqrt(10^40 + 1) is about -5e-21: its float image rounds to 0.0
+    tiny = QuadExt(10**20, -1, 10**40 + 1)
+    assert abs(tiny) == QuadExt(-(10**20), 1, 10**40 + 1)
+    assert abs(-tiny) == -tiny
+    assert abs(QuadExt(0, -1, 2)) == QuadExt(0, 1, 2)
+    assert abs(QuadExt(-1, -1, 2)) == QuadExt(1, 1, 2)
+    assert abs(QuadExt(2, -1, 3)) == QuadExt(2, -1, 3)  # 2 > sqrt(3)
+    assert abs(QuadExt(-2, 1, 5)) == QuadExt(-2, 1, 5)  # sqrt(5) > 2
+
+
 quad_elements = st.builds(
     QuadExt,
     fractions,
@@ -167,3 +179,35 @@ def test_scalar_kind_and_helpers():
     with pytest.raises(MixedBackend):
         common_kind([1.0, Fraction(2)])
     assert to_float(QuadExt(1, 1, 2)) == pytest.approx(1 + 2 ** 0.5, rel=FLOAT_TOL)
+
+
+@given(quad_elements)
+def test_quadext_abs_agrees_with_a_high_precision_sign(x):
+    if x.d < 0:
+        return
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, d = (Decimal(q.numerator) / Decimal(q.denominator) for q in (x.a, x.b, x.d))
+        positive = a + b * d.sqrt() > 0
+    assert abs(x) == (x if positive else -x)
+
+
+@given(quad_elements, st.integers(min_value=-7, max_value=7))
+def test_quadext_power_is_the_repeated_product(x, n):
+    base = x if n >= 0 else x.inverse()
+    expected = Fraction(1)
+    for _ in range(abs(n)):
+        expected = base * expected
+    assert x**n == expected
+
+
+@given(fractions, nonzero_fractions, st.sampled_from([2, 3, 5, -1, Fraction(7, 2)]),
+       st.sampled_from([2, 3, Fraction(1, 2)]))
+def test_quadext_equal_elements_hash_equal(a, b, d, k):
+    # one element written over d and over k^2 d, and its neighbours in both fields
+    x, y = QuadExt(a, b, d), QuadExt(a, b / k, d * k * k)
+    assert x == y and hash(x) == hash(y)
+    for u in (x, x + 1, -x, x.conjugate(), x * x):
+        for v in (y, y + 1, -y, y.conjugate(), y * y):
+            if u == v:
+                assert hash(u) == hash(v)

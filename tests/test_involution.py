@@ -61,6 +61,19 @@ points = st.builds(
 off_conic = points.filter(lambda p: not on_conic(p))
 
 
+@given(st.lists(off_conic, min_size=1, max_size=8))
+def test_integral_chain_product_matches_the_fraction_product(centers):
+    chain = InvolutionChain([fregier(c) for c in centers])
+    mat = chain.members[0].map.mat
+    for f in chain.members[1:]:
+        mat = f.map.mat * mat
+    expected = MobiusMap.from_mat2(mat)
+    assert chain.product.mat == expected.mat
+    assert all(type(x) is Fraction for x in chain.product.mat.entries())
+    assert chain.product == expected and chain.product._canon == expected._canon
+    assert hash(chain.product) == hash(expected)
+
+
 @given(off_conic, params)
 def test_fregier_chords_pass_through_center(center, t):
     u = fregier(center)

@@ -1,4 +1,5 @@
 """Projective plane primitives: triples, incidence, parameters, Moebius maps."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from porism.plane import (
     mobius_compose,
     point_on_line,
 )
+from porism.plane import _exact_canonical
 
 fractions = st.fractions(min_value=-40, max_value=40, max_denominator=10)
 params = st.builds(ConicParam, fractions)
@@ -122,6 +124,39 @@ def test_conic_param_basics():
     assert ConicParam(Fraction(3)).pair() == (Fraction(3), 1)
     assert INFINITY.pair() == (1, 0)
     assert ConicParam(Fraction(3)) != INFINITY
+
+
+def test_float_conic_params_are_unhashable():
+    # float parameters compare within a tolerance, which no hash agrees with
+    with pytest.raises(TypeError):
+        hash(ConicParam(1.5))
+    assert hash(ConicParam(Fraction(3, 2))) == hash(ConicParam(Fraction(6, 4)))
+    assert hash(INFINITY) == hash(ConicParam.infinity())
+    assert ConicParam(1.5) == ConicParam(1.5 + 1e-12)
+
+
+def _canonical_by_lead(coords):
+    """_exact_canonical's definition: divide by the first nonzero entry, then
+    clear denominators and numerator content."""
+    lead = next(c for c in coords if c != 0)
+    scaled = [c / lead for c in coords]
+    factor = Fraction(
+        math.lcm(*(c.denominator for c in scaled)), math.gcd(*(c.numerator for c in scaled))
+    )
+    return tuple(c * factor for c in scaled)
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**6)),
+        min_size=3,
+        max_size=4,
+    ).filter(any)
+)
+def test_integer_canonical_form_matches_its_definition(coords):
+    canon = _exact_canonical(tuple(coords))
+    assert canon == _canonical_by_lead(coords)
+    assert all(type(c) is Fraction and c.denominator == 1 for c in canon)
 
 
 def test_mobius_map_classes():
