@@ -75,11 +75,12 @@ class ValidityReport:
 
 
 class LineConfiguration:
-    """An ordered tuple of n >= 2 pairwise distinct lines with cached poles
-    and validity. Valid means: no member tangent to the conic, and the 2n
-    intersection parameters pairwise distinct (in extension where needed)."""
+    """An ordered tuple of n >= 2 pairwise distinct lines with cached poles,
+    pole-involution chain and validity. Valid means: no member tangent to the
+    conic, and the 2n intersection parameters pairwise distinct (in extension
+    where needed)."""
 
-    __slots__ = ("lines", "_report", "_poles")
+    __slots__ = ("lines", "_report", "_poles", "_chain")
 
     def __init__(self, lines: Sequence[ProjLine]):
         lines = tuple(lines)
@@ -93,6 +94,7 @@ class LineConfiguration:
         self.lines = lines
         self._report: Optional[ValidityReport] = None
         self._poles: Optional[tuple[ProjPoint, ...]] = None
+        self._chain: Optional[InvolutionChain] = None
 
     @property
     def n(self) -> int:
@@ -168,8 +170,11 @@ def poles_of(config: LineConfiguration) -> tuple[ProjPoint, ...]:
 
 
 def pole_involutions(config: LineConfiguration) -> InvolutionChain:
-    """The chain u_1, ..., u_n of involutions centered at the poles."""
-    return InvolutionChain([fregier(p) for p in poles_of(config)])
+    """The chain u_1, ..., u_n of involutions centered at the poles, built
+    once per configuration, so its product is composed once as well."""
+    if config._chain is None:
+        config._chain = InvolutionChain([fregier(p) for p in poles_of(config)])
+    return config._chain
 
 
 def porism_holds(config: LineConfiguration) -> bool:
@@ -416,27 +421,26 @@ def generate_closing(n: int, seed: int, max_tries: int = 400) -> LineConfigurati
             if not porism_holds(config):
                 continue
             return config
-        except (CenterOnConic, IdentityMap, InvalidConfiguration, ValueError):
+        except (CenterOnConic, IdentityMap, InvalidConfiguration):
             continue
     raise GenerationExhausted(f"no closing configuration after {max_tries} tries")
 
 
 def random_configuration(n: int, seed: int, max_tries: int = 400) -> LineConfiguration:
     """A valid n-line configuration with unconstrained poles; the porism
-    generically fails on these."""
+    generically fails on these. Validity keeps the poles off the conic: a
+    pole on the conic is the pole of a tangent member."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
     for _ in range(max_tries):
+        poles = [_random_point(rng) for _ in range(n)]
         try:
-            poles = [_random_point(rng) for _ in range(n)]
             config = LineConfiguration([polar(p) for p in poles])
-            if not config.report.valid:
-                continue
-            pole_involutions(config)  # poles must be off the conic
-            return config
-        except (CenterOnConic, InvalidConfiguration):
+        except InvalidConfiguration:  # a repeated line
             continue
+        if config.report.valid:
+            return config
     raise GenerationExhausted(f"no valid configuration after {max_tries} tries")
 
 

@@ -9,15 +9,17 @@ through a projectivity, never by generalizing these formulas.
 """
 from __future__ import annotations
 
-from .errors import (
-    EqualParameters,
-    FieldInsufficient,
-    NotIncident,
-    NotOnConic,
-    PointOnConic,
+from .errors import EqualParameters, NotIncident, NotOnConic, PointOnConic
+from .fields import FLOAT_TOL, _quotient
+from .plane import (
+    INFINITY,
+    ConicParam,
+    ParamRoots,
+    ProjLine,
+    ProjPoint,
+    _quadratic_params,
+    incident,
 )
-from .fields import FLOAT_TOL, sqrt_scalar
-from .plane import INFINITY, ConicParam, ParamRoots, ProjLine, ProjPoint, incident
 
 
 def conic_form(p: ProjPoint):
@@ -61,13 +63,10 @@ def parameter_of(p: ProjPoint) -> ConicParam:
     if not on_conic(p):
         raise NotOnConic(f"{p!r} is not on the conic")
     x0, x1, _ = p.coords
-    if p.kind == "exact":
-        if x0 == 0:
-            return INFINITY
-        return ConicParam(x1 / x0)
-    if abs(x0) <= FLOAT_TOL:
+    at_infinity = x0 == 0 if p.kind == "exact" else abs(x0) <= FLOAT_TOL
+    if at_infinity:
         return INFINITY
-    return ConicParam(x1 / x0)
+    return ConicParam(_quotient(x1, x0))
 
 
 def chord(s: ConicParam, t: ConicParam) -> ProjLine:
@@ -97,31 +96,6 @@ def pole(l: ProjLine) -> ProjPoint:
     return ProjPoint(2 * l2, -l1, 2 * l0)
 
 
-def _quadratic_params(a, b, c) -> ParamRoots:
-    """ConicParam roots of the binary quadratic a u^2 + b uv + c v^2.
-
-    Affine chart: a t^2 + b t + c = 0 with the root at infinity when a = 0.
-    Non-square rational discriminants are answered in Q(sqrt(disc)), the
-    +sqrt root first; an inexpressible discriminant yields no params.
-    """
-    disc = b * b - 4 * a * c
-    if a == 0:
-        if b == 0:
-            return ParamRoots((INFINITY,), disc, True)
-        return ParamRoots((INFINITY, ConicParam(-c / b)), disc, False)
-    if disc == 0:
-        return ParamRoots((ConicParam(-b / (2 * a)),), disc, True)
-    try:
-        root = sqrt_scalar(disc)
-    except FieldInsufficient:
-        return ParamRoots((), disc, False)
-    return ParamRoots(
-        (ConicParam((-b + root) / (2 * a)), ConicParam((-b - root) / (2 * a))),
-        disc,
-        False,
-    )
-
-
 def line_conic_params(l: ProjLine) -> ParamRoots:
     """Parameters where l meets the conic: roots of l2 t^2 + l1 t + l0 = 0.
 
@@ -146,10 +120,10 @@ def second_intersection(l: ProjLine, s: ConicParam) -> ConicParam:
         # incidence at infinity forces l2 = 0
         if l1 == 0:
             return INFINITY
-        return ConicParam(-l0 / l1)
+        return ConicParam(_quotient(-l0, l1))
     if l2 == 0:
         return INFINITY
-    return ConicParam(-l1 / l2 - s.value)
+    return ConicParam(_quotient(-l1, l2) - s.value)
 
 
 def tangents_from(p: ProjPoint) -> ParamRoots:
@@ -177,7 +151,7 @@ def other_tangent_param(p: ProjPoint, t_in: ConicParam) -> ConicParam:
         # infinity is a root, so the leading coefficient x0 vanishes
         if x1 == 0:
             return INFINITY
-        return ConicParam(x2 / (2 * x1))
+        return ConicParam(_quotient(x2, 2 * x1))
     if x0 == 0:
         return INFINITY
-    return ConicParam(2 * x1 / x0 - t_in.value)
+    return ConicParam(_quotient(2 * x1, x0) - t_in.value)

@@ -41,6 +41,14 @@ def _signed_square(b: Fraction, d: Fraction) -> tuple[int, int]:
     return p * abs(p) * d.numerator, q * q * d.denominator
 
 
+def _quotient(num, den) -> Scalar:
+    """num / den, exact when both are ints: rational coordinates are plain
+    ints, and int / int would leak a float."""
+    if type(num) is int and type(den) is int:
+        return Fraction(num, den)
+    return num / den
+
+
 def _ext(a: Fraction, b: Fraction, d: Fraction) -> Fraction | QuadExt:
     """a + b*sqrt(d) for Fraction components and a d already known to be a
     non-square, demoted to a when b = 0: the constructor of arithmetic

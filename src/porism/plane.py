@@ -3,6 +3,11 @@
 Points and lines carry canonical-normalized coordinate triples, so equality
 and hashing are exact for the rational and quadratic-extension backends. The
 float backend compares by proportionality within FLOAT_TOL.
+
+An exact rational triple is stored as its primitive integer multiple, in
+plain Python ints, and a rational parameter p/q pairs as the integers
+(p, q); so the incidence calculus and the Mobius action run over the
+integers, and each exact quotient of two ints is taken as a Fraction.
 """
 from __future__ import annotations
 
@@ -23,6 +28,8 @@ from .fields import (
     FieldInsufficient,
     QuadExt,
     Scalar,
+    _ext,
+    _quotient,
     scalar_kind,
     sqrt_scalar,
 )
@@ -44,7 +51,7 @@ def _normalize(coords: tuple) -> tuple[tuple, str]:
     Exact tuples: the multiple that _exact_canonical picks. Float tuples:
     divide by the largest magnitude and make the first significant entry
     positive. Plain ints are neutral and adopt the backend of the other
-    entries (exact when alone).
+    entries (exact when alone, and kept as ints).
     """
     kinds = set()
     for c in coords:
@@ -63,10 +70,6 @@ def _normalize(coords: tuple) -> tuple[tuple, str]:
     kind = kinds.pop() if kinds else "exact"
     if kind == "float":
         coords = tuple(float(c) if isinstance(c, int) else c for c in coords)
-    else:
-        coords = tuple(Fraction(c) if isinstance(c, int) else c for c in coords)
-
-    if kind == "float":
         if any(math.isnan(c) or math.isinf(c) for c in coords):
             raise ValueError(f"bad float coordinate triple: {coords!r}")
         top = max(abs(c) for c in coords)
@@ -79,7 +82,7 @@ def _normalize(coords: tuple) -> tuple[tuple, str]:
         return scaled, kind
 
     if not any(coords):
-        # Fraction(0) is falsy; QuadExt is always truthy
+        # 0 and Fraction(0) are falsy; QuadExt is always truthy
         raise ValueError("zero is not a projective coordinate tuple")
     return _exact_canonical(coords), kind
 
@@ -90,17 +93,27 @@ def _exact_canonical(coords: tuple) -> tuple:
     content, so the leading entry is a positive rational. Shared by
     projective triples and Mobius matrices.
 
-    A tuple of Fractions comes out as the primitive integer tuple with a
-    positive leading entry, which is computed over the integers directly."""
-    if all(isinstance(c, Fraction) for c in coords):
+    A tuple of ints and Fractions comes out as the primitive integer tuple,
+    in plain ints, with a positive leading entry, which is computed over the
+    integers directly. In a tuple with extension entries the rational
+    entries come out as ints too."""
+    if all(type(c) is int for c in coords):
+        ints = coords
+    elif not any(isinstance(c, QuadExt) for c in coords):
         scale = math.lcm(*(c.denominator for c in coords))
         ints = [c.numerator * (scale // c.denominator) for c in coords]
-        content = math.gcd(*ints)
-        if next(i for i in ints if i) < 0:
-            content = -content
-        return tuple(Fraction(i // content) for i in ints)
+    else:
+        return _extension_canonical(coords)
+    content = math.gcd(*ints)
+    if next(i for i in ints if i) < 0:
+        content = -content
+    return tuple(i // content for i in ints)
+
+
+def _extension_canonical(coords: tuple) -> tuple:
+    """_exact_canonical of a tuple with at least one QuadExt entry."""
     lead = next(c for c in coords if c != 0)
-    scaled = [c / lead for c in coords]
+    scaled = [_quotient(c, lead) for c in coords]
     nums: list[int] = []
     dens: list[int] = []
     for c in scaled:
@@ -110,7 +123,11 @@ def _exact_canonical(coords: tuple) -> tuple:
                 nums.append(abs(f.numerator))
                 dens.append(f.denominator)
     factor = Fraction(math.lcm(*dens), math.gcd(*nums))
-    return tuple(c * factor for c in scaled)
+    # the rational entries are integral Fractions once scaled
+    return tuple(
+        c * factor if isinstance(c, QuadExt) else (c * factor).numerator
+        for c in scaled
+    )
 
 
 class _ProjTriple:
@@ -278,10 +295,14 @@ class ConicParam:
         return self.value is None
 
     def pair(self) -> tuple:
-        """Homogeneous chart pair (u, v) with t = u/v; infinity is (1, 0)."""
-        if self.value is None:
+        """Homogeneous chart pair (u, v) with t = u/v; infinity is (1, 0) and
+        a rational p/q in lowest terms the integers (p, q)."""
+        value = self.value
+        if value is None:
             return (1, 0)
-        return (self.value, 1)
+        if isinstance(value, Fraction):
+            return (value.numerator, value.denominator)
+        return (value, 1)
 
     def __eq__(self, other):
         if not isinstance(other, ConicParam):
@@ -360,12 +381,14 @@ def mobius_apply(g: MobiusMap, t: ConicParam) -> ConicParam:
     if not t.is_infinite and scalar_kind(t.value) != "exact":
         raise MixedBackend("MobiusMap acts on exact parameters only")
     u, v = t.pair()
-    m = g.mat
-    num = m.a * u + m.b * v
-    den = m.c * u + m.d * v
+    # any multiple of the matrix acts alike; the canonical one is integral
+    # for a rational map
+    a, b, c, d = g._canon
+    num = a * u + b * v
+    den = c * u + d * v
     if den == 0:
         return INFINITY
-    return ConicParam(num / den)
+    return ConicParam(_quotient(num, den))
 
 
 def mobius_compose(g: MobiusMap, h: MobiusMap) -> MobiusMap:
@@ -400,23 +423,38 @@ def fixed_points(g: MobiusMap) -> ParamRoots:
     if g.is_identity_class():
         raise IdentityMap("every parameter is fixed")
     m = g.mat
-    a, b, c, d = m.a, m.b, m.c, m.d
-    if c == 0:
-        if a == d:  # translation: infinity is the only fixed point
-            return ParamRoots((INFINITY,), Fraction(0), True)
-        return ParamRoots((INFINITY, ConicParam(b / (d - a))), (a - d) ** 2, False)
-    disc = (a - d) ** 2 + 4 * b * c
+    return _quadratic_params(m.c, m.d - m.a, -m.b)
+
+
+def _quadratic_params(a, b, c) -> ParamRoots:
+    """ConicParam roots of the binary quadratic a u^2 + b uv + c v^2.
+
+    Affine chart: a t^2 + b t + c = 0 with the root at infinity when a = 0.
+    Non-square rational discriminants are answered in Q(sqrt(disc)), the
+    +sqrt root first; an inexpressible discriminant yields no params.
+    """
+    disc = b * b - 4 * a * c
+    if a == 0:
+        if b == 0:
+            return ParamRoots((INFINITY,), disc, True)
+        return ParamRoots((INFINITY, ConicParam(_quotient(-c, b))), disc, False)
     if disc == 0:
-        return ParamRoots((ConicParam((a - d) / (2 * c)),), disc, True)
-    try:
-        root = sqrt_scalar(disc)
-    except FieldInsufficient:
-        return ParamRoots((), disc, False)
-    return ParamRoots(
-        (ConicParam((a - d + root) / (2 * c)), ConicParam((a - d - root) / (2 * c))),
-        disc,
-        False,
-    )
+        return ParamRoots((ConicParam(_quotient(-b, 2 * a)),), disc, True)
+    if type(disc) is int:
+        # integer coefficients: the roots (-b +- sqrt(disc)) / 2a directly
+        r = math.isqrt(disc) if disc > 0 else 0
+        if r * r == disc:
+            roots = (Fraction(-b + r, 2 * a), Fraction(-b - r, 2 * a))
+        else:
+            mid, half, d = Fraction(-b, 2 * a), Fraction(1, 2 * a), Fraction(disc)
+            roots = (_ext(mid, half, d), _ext(mid, -half, d))
+    else:
+        try:
+            root = sqrt_scalar(disc)
+        except FieldInsufficient:
+            return ParamRoots((), disc, False)
+        roots = (_quotient(-b + root, 2 * a), _quotient(-b - root, 2 * a))
+    return ParamRoots((ConicParam(roots[0]), ConicParam(roots[1])), disc, False)
 
 
 def cross_ratio(a: ConicParam, b: ConicParam, c: ConicParam, d: ConicParam) -> Scalar:
@@ -434,4 +472,6 @@ def cross_ratio(a: ConicParam, b: ConicParam, c: ConicParam, d: ConicParam) -> S
     def two_det(p, q):
         return p[0] * q[1] - q[0] * p[1]
 
-    return (two_det(pa, pc) * two_det(pb, pd)) / (two_det(pa, pd) * two_det(pb, pc))
+    return _quotient(
+        two_det(pa, pc) * two_det(pb, pd), two_det(pa, pd) * two_det(pb, pc)
+    )

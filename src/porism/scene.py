@@ -27,7 +27,7 @@ HEADER = "poncelet-scene 1"
 CONIC_RECORD = "conic canonical"
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: int | Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -59,7 +59,7 @@ def parse_param(token: str) -> ConicParam:
 def _format_triple(coords) -> str:
     parts = []
     for c in coords:
-        if not isinstance(c, Fraction):
+        if not isinstance(c, (int, Fraction)):
             raise ParseError(f"only rational coordinates serialize, got {c!r}")
         parts.append(format_rational(c))
     return " ".join(parts)

@@ -137,6 +137,17 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_python_dash_m_porism_runs_the_cli():
+    src = str(Path(porism.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "porism", "--help"], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage: porism" in result.stdout
+
+
 def test_twolines_check(capsys):
     assert main(["twolines", "--mode", "check", "--n", "2", "--x", "0"]) == 0
     assert "closes at n=2: true" in capsys.readouterr().out

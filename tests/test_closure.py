@@ -144,6 +144,7 @@ def test_porism_holds_frozen():
     assert chain.members[0].map == MobiusMap(0, 1, 1, 0)
     assert chain.members[1].map == MobiusMap(1, 0, 0, -1)
     assert chain.product == MobiusMap(0, -1, 1, 0)  # t -> -1/t
+    assert pole_involutions(X0_CONFIG) is chain  # built once per configuration
 
 
 def test_dual_chain_frozen():

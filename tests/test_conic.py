@@ -15,6 +15,7 @@ from porism.conic import (
     polar,
     pole,
     second_intersection,
+    tangency_discriminant,
     tangent_at,
     tangents_from,
     veronese,
@@ -25,8 +26,19 @@ from porism.errors import (
     NotOnConic,
     PointOnConic,
 )
-from porism.fields import QuadExt
-from porism.plane import INFINITY, ConicParam, ProjLine, ProjPoint, incident
+from porism.fields import QuadExt, sqrt_scalar
+from porism.plane import (
+    INFINITY,
+    ConicParam,
+    MobiusMap,
+    ParamRoots,
+    ProjLine,
+    ProjPoint,
+    cross_ratio,
+    fixed_points,
+    incident,
+    mobius_apply,
+)
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 params = st.builds(ConicParam, fractions)
@@ -97,6 +109,23 @@ def test_tangent_is_polar_of_point(t):
     roots = line_conic_params(tangent_at(t))
     assert roots.double and roots.params == (t,)
     assert is_tangent(tangent_at(t))
+
+
+@given(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+                 st.integers(-10**6, 10**6)).filter(any))
+def test_pole_is_on_the_conic_exactly_for_tangents(coords):
+    # on the raw pole (2 l2 : -l1 : 2 l0), x0 x2 - x1^2 = -(l1^2 - 4 l0 l2);
+    # the canonical pole is that triple over a rational k, which divides the
+    # form by k^2, so a valid configuration never has a pole on the conic
+    l = ProjLine(*coords)
+    l0, l1, l2 = l.coords
+    raw = (2 * l2, -l1, 2 * l0)
+    p = pole(l)
+    i = next(i for i, c in enumerate(p.coords) if c)
+    k = Fraction(raw[i], p.coords[i])
+    assert raw == tuple(k * c for c in p.coords)
+    assert conic_form(p) * k * k == -tangency_discriminant(l)
+    assert on_conic(p) == is_tangent(l)
 
 
 def test_is_tangent_exact_and_float():
@@ -197,3 +226,126 @@ def test_other_tangent_param_vieta(p, t):
 def test_other_tangent_param_requires_incidence():
     with pytest.raises(NotIncident):
         other_tangent_param(ProjPoint(5, 1, 7), ConicParam(Fraction(0)))
+
+
+# Rational coordinates are plain ints and rational parameters pair as (p, q);
+# each routine must still answer exactly, as it does from Fraction coordinates.
+# The references below are the routines' formulas over Fraction coordinates.
+
+
+def _no_float(value) -> bool:
+    if isinstance(value, ParamRoots):
+        return _no_float(value.discriminant) and all(map(_no_float, value.params))
+    if isinstance(value, ConicParam):
+        return value.is_infinite or _no_float(value.value)
+    if isinstance(value, QuadExt):
+        return _no_float(value.a) and _no_float(value.b)
+    return isinstance(value, (int, Fraction))
+
+
+def _ref_quadratic(a, b, c):
+    disc = b * b - 4 * a * c
+    if a == 0:
+        return ((INFINITY,) if b == 0 else (INFINITY, ConicParam(-c / b))), disc
+    if disc == 0:
+        return (ConicParam(-b / (2 * a)),), disc
+    root = sqrt_scalar(disc)
+    return (ConicParam((-b + root) / (2 * a)), ConicParam((-b - root) / (2 * a))), disc
+
+
+def _ref_second(l0, l1, l2, s):
+    if s.is_infinite:
+        return INFINITY if l1 == 0 else ConicParam(-l0 / l1)
+    return INFINITY if l2 == 0 else ConicParam(-l1 / l2 - s.value)
+
+
+def _ref_other_tangent(x0, x1, x2, t):
+    if t.is_infinite:
+        return INFINITY if x1 == 0 else ConicParam(x2 / (2 * x1))
+    return INFINITY if x0 == 0 else ConicParam(2 * x1 / x0 - t.value)
+
+
+def _fraction_pair(t):
+    return (Fraction(1), Fraction(0)) if t.is_infinite else (t.value, Fraction(1))
+
+
+small_ints = st.integers(-40, 40)
+int_triples = st.tuples(small_ints, small_ints, small_ints).filter(any)
+
+
+@given(int_triples, int_triples)
+def test_integer_lines_and_points_answer_exactly(line_coords, point_coords):
+    l, p = ProjLine(*line_coords), ProjPoint(*point_coords)
+    assert all(type(c) is int for c in l.coords + p.coords)
+    l0, l1, l2 = (Fraction(c) for c in l.coords)
+    x0, x1, x2 = (Fraction(c) for c in p.coords)
+
+    roots = line_conic_params(l)
+    assert _no_float(roots)
+    assert (roots.params, roots.discriminant) == _ref_quadratic(l2, l1, l0)
+    for s in roots.params:
+        other = second_intersection(l, s)
+        assert _no_float(other) and other == _ref_second(l0, l1, l2, s)
+        back = parameter_of(veronese(s))
+        assert _no_float(back) and back == s
+
+    if on_conic(p):
+        assert _no_float(parameter_of(p))
+        assert parameter_of(p) == (INFINITY if x0 == 0 else ConicParam(x1 / x0))
+        return
+    roots = tangents_from(p)
+    assert _no_float(roots)
+    assert (roots.params, roots.discriminant) == _ref_quadratic(x0, -2 * x1, x2)
+    for t in roots.params:
+        other = other_tangent_param(p, t)
+        assert _no_float(other) and other == _ref_other_tangent(x0, x1, x2, t)
+
+
+@st.composite
+def one_field_params(draw):
+    """Four parameters over one field: rationals, infinity and elements of
+    Q(sqrt d) for one drawn non-square d."""
+    d = draw(st.sampled_from((-3, -1, 2, 3, 5, 7)))
+    ext = st.builds(lambda a, b: ConicParam(QuadExt(a, b, d)), fractions,
+                    fractions.filter(bool))
+    return draw(st.lists(st.one_of(params, st.just(INFINITY), ext), min_size=4,
+                         max_size=4))
+
+
+@given(st.tuples(small_ints, small_ints, small_ints, small_ints).filter(
+    lambda e: e[0] * e[3] != e[1] * e[2]), one_field_params())
+def test_mobius_action_and_cross_ratio_answer_exactly(entries, ts):
+    g = MobiusMap(*entries)
+    a, b, c, d = (Fraction(e) for e in entries)
+    for t in ts:
+        u, v = _fraction_pair(t)
+        num, den = a * u + b * v, c * u + d * v
+        image = mobius_apply(g, t)
+        assert _no_float(image)
+        assert image == (INFINITY if den == 0 else ConicParam(num / den))
+
+    if not g.is_identity_class():
+        roots = fixed_points(g)
+        assert _no_float(roots)
+        assert (roots.params, roots.discriminant) == _ref_quadratic(c, d - a, -b)
+
+    if len(set(ts)) == 4:
+        pa, pb, pc, pd = map(_fraction_pair, ts)
+
+        def two_det(p, q):
+            return p[0] * q[1] - q[0] * p[1]
+
+        ratio = cross_ratio(*ts)
+        assert _no_float(ratio)
+        assert ratio == (two_det(pa, pc) * two_det(pb, pd)) / (
+            two_det(pa, pd) * two_det(pb, pc)
+        )
+
+    s, t = ts[0], ts[1]
+    if s != t:
+        # an extension chord: its rational coordinates are ints as well
+        l = chord(s, t)
+        assert all(isinstance(x, (int, QuadExt)) for x in l.coords)
+        roots = line_conic_params(l)
+        assert _no_float(roots) and set(roots.params) == {s, t}
+        assert second_intersection(l, s) == t and _no_float(second_intersection(l, s))

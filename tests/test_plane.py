@@ -156,7 +156,7 @@ def _canonical_by_lead(coords):
 def test_integer_canonical_form_matches_its_definition(coords):
     canon = _exact_canonical(tuple(coords))
     assert canon == _canonical_by_lead(coords)
-    assert all(type(c) is Fraction and c.denominator == 1 for c in canon)
+    assert all(type(c) is int for c in canon)
 
 
 def test_mobius_map_classes():
