@@ -13,6 +13,7 @@ and edges tangent to the conic.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -45,13 +46,19 @@ from .errors import (
     InvalidConfiguration,
     MixedBackend,
     NotClosed,
+    NotIncident,
 )
-from .fields import Scalar
+from .fields import QuadExt, Scalar, _ext
 from .involution import InvolutionChain, closing_center_locus, fregier
 from .plane import (
+    INFINITY,
     ConicParam,
     ProjLine,
     ProjPoint,
+    _pair_cross,
+    _pair_dot,
+    _pairs_over,
+    _to_pairs,
     incident,
     is_involution,
     join,
@@ -239,7 +246,10 @@ def _tangent_walk(
     start vertex on lines[0], draw the tangent that branch selects, meet it
     with lines[target] for each target in turn, and leave every vertex by its
     other tangent. Returns the start plus one vertex per target, and the
-    tangency parameters of the edges between them."""
+    tangency parameters of the edges between them.
+
+    An exact walk runs on integer pairs (_exact_walk), a float walk on the
+    public constructions."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     if not incident(lines[0], start):
@@ -262,6 +272,8 @@ def _tangent_walk(
     vertices = [start]
     edge_params = [t]
     try:
+        if not is_float:
+            return _exact_walk(lines, start, targets, t)
         for step, target in enumerate(targets):
             vertex = meet(tangent_at(t), lines[target])
             if vertex == vertices[-1]:
@@ -272,11 +284,77 @@ def _tangent_walk(
             if step == len(targets) - 1:
                 break
             t = other_tangent_param(vertex, t)
-            if is_float and t.is_infinite:
+            if t.is_infinite:
                 raise DegenerateStart("float walk hit the parameter at infinity")
             edge_params.append(t)
     except (CoincidentLines, CoincidentPoints, EqualParameters) as exc:
         raise DegenerateStart(str(exc)) from exc
+    return vertices, edge_params
+
+
+def _exact_walk(
+    lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], t: ConicParam
+) -> tuple[list[ProjPoint], list[ConicParam]]:
+    """_tangent_walk over Q(sqrt d), the field of the first tangent (or of
+    the start or a line, or Q itself as d = 0), on integer pairs over
+    sqrt(D) (plane._to_pairs). The edge parameter is the homogeneous pair
+    (U : V) = (u0 + u1 sqrt(D) : v), its tangent line (U^2 : -2UV : V^2),
+    and the other tangent from a vertex x, by Vieta on
+    x0 t^2 - 2 x1 t + x2, is (2 x1 V - x0 U : x0 V), or (x2 : 2 x1) after
+    t = infinity. Each vertex and parameter is built once as a public value."""
+    if isinstance(t.value, QuadExt):
+        d = t.value.d
+    else:
+        d = start._d or next((l._d for l in lines if l._d), Fraction(0))
+    q = d.denominator
+    big_d = d.numerator * q
+    line_pairs = [_pairs_over(l, d) for l in lines]
+    if t.is_infinite:
+        u0, u1, v = 1, 0, 0
+    else:
+        (u0, u1), (v, _) = _to_pairs((t.value, 1), d)
+    vertices = [start]
+    edge_params = [t]
+    for step, target in enumerate(targets):
+        tangent = (
+            (u0 * u0 + u1 * u1 * big_d, 2 * u0 * u1),
+            (-2 * u0 * v, -2 * u1 * v),
+            (v * v, 0),
+        )
+        meet_pairs = _pair_cross(tangent, line_pairs[target], big_d)
+        if not any(a or b for a, b in meet_pairs):
+            tangent_line = ProjLine._from_pairs(tangent, d)
+            raise CoincidentLines(f"meet of {tangent_line!r} with itself")
+        vertex = ProjPoint._from_pairs(meet_pairs, d)
+        if vertex == vertices[-1]:
+            raise DegenerateStart(f"stalled at {vertex!r}")
+        if on_conic(vertex):
+            raise DegenerateStart(f"vertex {vertex!r} fell on the conic")
+        vertices.append(vertex)
+        if step == len(targets) - 1:
+            break
+        x = _pairs_over(vertex, d)
+        if any(_pair_dot(tangent, x, big_d)):
+            raise NotIncident(f"tangent at {t!r} does not pass through {vertex!r}")
+        (x0, y0), (x1, y1), (x2, y2) = x
+        if v:
+            ua = 2 * x1 * v - x0 * u0 - y0 * u1 * big_d
+            ub = 2 * y1 * v - x0 * u1 - y0 * u0
+            va, vb = x0 * v, y0 * v
+        else:
+            ua, ub, va, vb = x2, y2, 2 * x1, 2 * y1
+        # times the conjugate of V, which makes V rational
+        u0 = ua * va - ub * vb * big_d
+        u1 = ub * va - ua * vb
+        v = va * va - vb * vb * big_d
+        if v:
+            content = math.gcd(u0, u1, v)
+            u0, u1, v = u0 // content, u1 // content, v // content
+            t = ConicParam(_ext(Fraction(u0, v), Fraction(u1 * q, v), d))
+        else:
+            u0, u1 = 1, 0
+            t = INFINITY
+        edge_params.append(t)
     return vertices, edge_params
 
 

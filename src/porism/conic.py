@@ -17,6 +17,7 @@ from .plane import (
     ParamRoots,
     ProjLine,
     ProjPoint,
+    _pairs_quadric_zero,
     _quadratic_params,
     incident,
 )
@@ -30,6 +31,8 @@ def conic_form(p: ProjPoint):
 
 def on_conic(p: ProjPoint, tol: float = FLOAT_TOL) -> bool:
     """Whether p satisfies x0*x2 = x1^2 (exact, or within tol for floats)."""
+    if p._pairs is not None:
+        return _pairs_quadric_zero(p, 1)
     value = conic_form(p)
     if p.kind == "exact":
         return value == 0
@@ -46,6 +49,8 @@ def tangency_discriminant(l: ProjLine):
 def is_tangent(l: ProjLine, tol: float = FLOAT_TOL) -> bool:
     """Whether l touches the conic: a zero tangency discriminant (exact, or
     within 10 tol for floats, whose coordinates have max-norm 1)."""
+    if l._pairs is not None:
+        return _pairs_quadric_zero(l, 4)
     disc = tangency_discriminant(l)
     if l.kind == "exact":
         return disc == 0

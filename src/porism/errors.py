@@ -26,8 +26,9 @@ class CoincidentLines(GeometryError):
     """meet() of a line with itself."""
 
 
-class DegenerateTuple(GeometryError):
-    """Cross-ratio of a tuple with a repeated entry."""
+class DegenerateTuple(GeometryError, ValueError):
+    """A zero or non-finite coordinate tuple, or a cross-ratio of a tuple
+    with a repeated entry."""
 
 
 class IdentityMap(GeometryError):

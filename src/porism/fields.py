@@ -224,8 +224,9 @@ class QuadExt:
         return NotImplemented
 
     def __hash__(self):
-        # equal elements share their rational part, whatever d generates the field
-        return hash(self.a)
+        # equal elements share a and sign(b) * b^2 * d, whatever d generates
+        # the field
+        return hash((self.a, Fraction(*_signed_square(self.b, self.d))))
 
     def __bool__(self):
         return True  # a + b*sqrt(d) with b != 0 is never zero

@@ -8,6 +8,15 @@ An exact rational triple is stored as its primitive integer multiple, in
 plain Python ints, and a rational parameter p/q pairs as the integers
 (p, q); so the incidence calculus and the Mobius action run over the
 integers, and each exact quotient of two ints is taken as a Fraction.
+
+A triple over Q(sqrt d), d = p/q, also keeps three integer pairs
+((a0, b0), (a1, b1), (a2, b2)) standing for the entries a_i + b_i sqrt(D)
+of a multiple of it, D = p*q the one integer radicand of its field. Its
+canonical form multiplies by the conjugate of the first nonzero entry,
+which makes that entry rational, divides by the gcd of the six ints over
+sqrt(d), and makes the lead positive; `coords` holds those entries as ints
+and QuadExt. Cross and dot products of triples with an extension entry
+run on the pairs.
 """
 from __future__ import annotations
 
@@ -15,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Mat2, det3
+from .algebra import Mat2
 from .errors import (
     CoincidentLines,
     CoincidentPoints,
@@ -30,6 +39,7 @@ from .fields import (
     Scalar,
     _ext,
     _quotient,
+    rational_sqrt,
     scalar_kind,
     sqrt_scalar,
 )
@@ -45,8 +55,10 @@ def _coerce_scalar(x) -> Scalar:
     raise TypeError(f"not a scalar coordinate: {x!r}")
 
 
-def _normalize(coords: tuple) -> tuple[tuple, str]:
-    """Canonical representative of a projective coordinate tuple.
+def _normalize(coords: tuple) -> tuple:
+    """Canonical representative of a projective coordinate tuple, as
+    (coords, kind, d, pairs); d and pairs are None unless an entry lies in
+    an extension.
 
     Exact tuples: the multiple that _exact_canonical picks. Float tuples:
     divide by the largest magnitude and make the first significant entry
@@ -54,6 +66,7 @@ def _normalize(coords: tuple) -> tuple[tuple, str]:
     entries (exact when alone, and kept as ints).
     """
     kinds = set()
+    d = None
     for c in coords:
         if isinstance(c, bool):
             raise TypeError("bool is not a scalar")
@@ -61,8 +74,11 @@ def _normalize(coords: tuple) -> tuple[tuple, str]:
             continue
         if isinstance(c, float):
             kinds.add("float")
-        elif isinstance(c, (Fraction, QuadExt)):
+        elif isinstance(c, Fraction):
             kinds.add("exact")
+        elif isinstance(c, QuadExt):
+            kinds.add("exact")
+            d = d or c.d
         else:
             raise TypeError(f"not a scalar coordinate: {c!r}")
     if len(kinds) > 1:
@@ -71,72 +87,126 @@ def _normalize(coords: tuple) -> tuple[tuple, str]:
     if kind == "float":
         coords = tuple(float(c) if isinstance(c, int) else c for c in coords)
         if any(math.isnan(c) or math.isinf(c) for c in coords):
-            raise ValueError(f"bad float coordinate triple: {coords!r}")
+            raise DegenerateTuple(f"bad float coordinate triple: {coords!r}")
         top = max(abs(c) for c in coords)
         if top == 0.0:
-            raise ValueError("zero is not a projective coordinate tuple")
+            raise DegenerateTuple("zero is not a projective coordinate tuple")
         scaled = tuple(c / top for c in coords)
         lead = next(c for c in scaled if abs(c) > 1e-12)
         if lead < 0:
             scaled = tuple(-c for c in scaled)
-        return scaled, kind
+        return scaled, kind, None, None
 
-    if not any(coords):
-        # 0 and Fraction(0) are falsy; QuadExt is always truthy
-        raise ValueError("zero is not a projective coordinate tuple")
-    return _exact_canonical(coords), kind
+    if d is None:
+        if not any(coords):
+            raise DegenerateTuple("zero is not a projective coordinate tuple")
+        return _exact_canonical(coords), kind, None, None
+    canon, d, pairs = _pair_canonical(_to_pairs(coords, d), d)
+    return canon, kind, d, pairs
 
 
 def _exact_canonical(coords: tuple) -> tuple:
-    """The canonical multiple of a nonzero tuple of exact scalars: divide by
-    the first nonzero entry, then clear denominators and common numerator
-    content, so the leading entry is a positive rational. Shared by
-    projective triples and Mobius matrices.
+    """The canonical multiple of a nonzero tuple of exact scalars: the
+    multiple whose leading entry is a positive rational and whose entries
+    have coprime integer components. Shared by projective triples and
+    Mobius matrices.
 
     A tuple of ints and Fractions comes out as the primitive integer tuple,
     in plain ints, with a positive leading entry, which is computed over the
-    integers directly. In a tuple with extension entries the rational
-    entries come out as ints too."""
+    integers directly. A tuple with extension entries goes through its
+    integer pairs over the d of its first extension entry
+    (_pair_canonical); its rational entries come out as ints too."""
     if all(type(c) is int for c in coords):
         ints = coords
     elif not any(isinstance(c, QuadExt) for c in coords):
         scale = math.lcm(*(c.denominator for c in coords))
         ints = [c.numerator * (scale // c.denominator) for c in coords]
     else:
-        return _extension_canonical(coords)
+        d = next(c.d for c in coords if isinstance(c, QuadExt))
+        return _pair_canonical(_to_pairs(coords, d), d)[0]
     content = math.gcd(*ints)
     if next(i for i in ints if i) < 0:
         content = -content
     return tuple(i // content for i in ints)
 
 
-def _extension_canonical(coords: tuple) -> tuple:
-    """_exact_canonical of a tuple with at least one QuadExt entry."""
-    lead = next(c for c in coords if c != 0)
-    scaled = [_quotient(c, lead) for c in coords]
-    nums: list[int] = []
-    dens: list[int] = []
-    for c in scaled:
-        parts = (c.a, c.b) if isinstance(c, QuadExt) else (c,)
-        for f in parts:
-            if f != 0:
-                nums.append(abs(f.numerator))
-                dens.append(f.denominator)
-    factor = Fraction(math.lcm(*dens), math.gcd(*nums))
-    # the rational entries are integral Fractions once scaled
+def _radicand(d: Fraction) -> int:
+    """The integer D with sqrt(d) = sqrt(D) / q, for d = p/q."""
+    return d.numerator * d.denominator
+
+
+def _to_pairs(values, d: Fraction) -> tuple:
+    """Integer pairs over sqrt(D), D = _radicand(d), of a multiple of exact
+    scalars of the field Q(sqrt d): x = a + b sqrt(d) is a + (b/q) sqrt(D),
+    and one common denominator clears every component."""
+    q = d.denominator
+    parts = []
+    for x in values:
+        if isinstance(x, QuadExt):
+            # the same field written over another d: sqrt(x.d) = r sqrt(d)
+            r = Fraction(1) if x.d == d else rational_sqrt(x.d / d)
+            if r is None:
+                raise MixedBackend(
+                    f"incompatible extensions Q(sqrt({d})) and Q(sqrt({x.d}))"
+                )
+            parts.append((x.a, x.b * r / q))
+        else:
+            parts.append((Fraction(x), Fraction(0)))
+    scale = math.lcm(*(c.denominator for pair in parts for c in pair))
     return tuple(
-        c * factor if isinstance(c, QuadExt) else (c * factor).numerator
-        for c in scaled
+        (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+        for a, b in parts
     )
+
+
+def _pair_canonical(pairs: tuple, d: Fraction) -> tuple:
+    """(coords, d, pairs) of the canonical multiple of nonzero integer pairs
+    over sqrt(D), D = _radicand(d): multiply by the conjugate of the first
+    nonzero entry, which makes it rational, divide by the gcd of the
+    components over sqrt(d), and make that entry positive. The extension
+    entries of coords are QuadExt over d and its rational entries ints; a
+    multiple with no extension entry left returns d and pairs as None.
+
+    The walks run rational chains over d = 0, where every b is 0."""
+    q = d.denominator
+    big_d = d.numerator * q
+    la, lb = next(x for x in pairs if x[0] or x[1])
+    flat = []
+    for a, b in pairs:
+        # a + b sqrt(D) = a + b q sqrt(d)
+        flat.append(a * la - b * lb * big_d)
+        flat.append((b * la - a * lb) * q)
+    content = math.gcd(*flat)
+    if next(x for x in flat if x) < 0:
+        content = -content
+    ints = [x // content for x in flat]
+    if not any(ints[1::2]):
+        return tuple(ints[0::2]), None, None
+    coords = []
+    out = []
+    for i in range(0, len(ints), 2):
+        a, b = ints[i], ints[i + 1]
+        coords.append(_ext(Fraction(a), Fraction(b), d) if b else a)
+        out.append((a * q, b))
+    return tuple(coords), d, tuple(out)
 
 
 class _ProjTriple:
     """Shared machinery of ProjPoint and ProjLine."""
 
-    __slots__ = ("coords", "kind")
+    __slots__ = ("coords", "kind", "_d", "_pairs")
 
     def __init__(self, x0, x1, x2):
-        self.coords, self.kind = _normalize((x0, x1, x2))
+        self.coords, self.kind, self._d, self._pairs = _normalize((x0, x1, x2))
+
+    @classmethod
+    def _from_pairs(cls, pairs: tuple, d: Fraction):
+        """The exact triple of a nonzero multiple given by integer pairs
+        over sqrt(_radicand(d)), canonicalized once on the integers."""
+        obj = object.__new__(cls)
+        obj.kind = "exact"
+        obj.coords, obj._d, obj._pairs = _pair_canonical(pairs, d)
+        return obj
 
     def __iter__(self):
         return iter(self.coords)
@@ -183,6 +253,51 @@ class ProjLine(_ProjTriple):
     __slots__ = ()
 
 
+def _pairs_over(t: _ProjTriple, d: Fraction) -> tuple:
+    """The integer pairs of an exact triple over sqrt(_radicand(d)); a
+    rational triple embeds with every b = 0."""
+    if t._pairs is None:
+        return tuple((c, 0) for c in t.coords)
+    if t._d == d:
+        return t._pairs
+    return _to_pairs(t.coords, d)
+
+
+def _pair_cross(u: tuple, v: tuple, big_d: int) -> tuple:
+    """The cross product of two pair triples over sqrt(big_d)."""
+    (a0, b0), (a1, b1), (a2, b2) = u
+    (c0, e0), (c1, e1), (c2, e2) = v
+    return (
+        (a1 * c2 - a2 * c1 + (b1 * e2 - b2 * e1) * big_d,
+         a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1),
+        (a2 * c0 - a0 * c2 + (b2 * e0 - b0 * e2) * big_d,
+         a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2),
+        (a0 * c1 - a1 * c0 + (b0 * e1 - b1 * e0) * big_d,
+         a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0),
+    )
+
+
+def _pair_dot(u: tuple, v: tuple, big_d: int) -> tuple:
+    """The dot product of two pair triples over sqrt(big_d), as a pair."""
+    (a0, b0), (a1, b1), (a2, b2) = u
+    (c0, e0), (c1, e1), (c2, e2) = v
+    return (
+        a0 * c0 + a1 * c1 + a2 * c2 + (b0 * e0 + b1 * e1 + b2 * e2) * big_d,
+        a0 * e0 + b0 * c0 + a1 * e1 + b1 * c1 + a2 * e2 + b2 * c2,
+    )
+
+
+def _pairs_quadric_zero(t: _ProjTriple, scale: int) -> bool:
+    """Whether scale * c0 * c2 = c1^2 for the entries c_i of an extension
+    triple, on its integer pairs."""
+    (a0, b0), (a1, b1), (a2, b2) = t._pairs
+    big_d = _radicand(t._d)
+    return (
+        scale * (a0 * a2 + b0 * b2 * big_d) == a1 * a1 + b1 * b1 * big_d
+        and scale * (a0 * b2 + b0 * a2) == 2 * a1 * b1
+    )
+
+
 def _cross(u: tuple, v: tuple) -> tuple:
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -195,13 +310,23 @@ def _dot(u: tuple, v: tuple):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _cross_triple(cls, u: _ProjTriple, v: _ProjTriple):
+    """The triple of type cls with the cross product of u and v, on their
+    integer pairs when either lies in an extension."""
+    d = u._d or v._d
+    if d is None:
+        return cls(*_cross(u.coords, v.coords))
+    pairs = _pair_cross(_pairs_over(u, d), _pairs_over(v, d), _radicand(d))
+    return cls._from_pairs(pairs, d)
+
+
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The line through two distinct points."""
     if p.kind != q.kind:
         raise MixedBackend("join of points from different backends")
     if p == q:
         raise CoincidentPoints(f"join of {p!r} with itself")
-    return ProjLine(*_cross(p.coords, q.coords))
+    return _cross_triple(ProjLine, p, q)
 
 
 def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
@@ -210,17 +335,20 @@ def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
         raise MixedBackend("meet of lines from different backends")
     if l == m:
         raise CoincidentLines(f"meet of {l!r} with itself")
-    return ProjPoint(*_cross(l.coords, m.coords))
+    return _cross_triple(ProjPoint, l, m)
 
 
 def incident(l: ProjLine, p: ProjPoint, tol: float = FLOAT_TOL) -> bool:
     """Whether the point lies on the line (exact, or within tol for floats)."""
     if l.kind != p.kind:
         raise MixedBackend("incidence across backends")
-    d = _dot(l.coords, p.coords)
+    d = l._d or p._d
+    if d is not None:
+        return not any(_pair_dot(_pairs_over(l, d), _pairs_over(p, d), _radicand(d)))
+    dot = _dot(l.coords, p.coords)
     if l.kind == "exact":
-        return d == 0
-    return abs(d) <= tol * 3
+        return dot == 0
+    return abs(dot) <= tol * 3
 
 
 def collinear(points) -> bool:

@@ -1,8 +1,9 @@
 """Line-oriented text format for configurations, named points and chains.
 
 The format is versioned, UTF-8, diff-friendly, and bit-exact: every scalar is
-a rational written as "p" or "p/q" (never a float), and the parameter value
-infinity is written "inf". One record per line:
+a rational written as "p" or "p/q" in ASCII digits, -?[0-9]+(/[0-9]+)?
+(never a float), and the parameter value infinity is written "inf". One
+record per line:
 
     poncelet-scene 1
     conic canonical
@@ -15,16 +16,18 @@ start is, while primal chains generally live in a quadratic extension.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .closure import LineConfiguration
-from .errors import ParseError
+from .errors import GeometryError, ParseError
 from .plane import INFINITY, ConicParam, ProjLine, ProjPoint
 
 HEADER = "poncelet-scene 1"
 CONIC_RECORD = "conic canonical"
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def format_rational(q: int | Fraction) -> str:
@@ -34,11 +37,11 @@ def format_rational(q: int | Fraction) -> str:
 
 
 def parse_rational(token: str) -> Fraction:
-    if "." in token or "e" in token.lower():
-        raise ParseError(f"scalars must be rational, got {token!r}")
+    if not _RATIONAL.fullmatch(token):
+        raise ParseError(f"scalars must be ASCII rationals p or p/q, got {token!r}")
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {token!r}") from exc
 
 
@@ -125,7 +128,7 @@ def parse(text: str) -> SceneDocument:
                 raise ParseError(f"line record needs 3 scalars: {record!r}")
             try:
                 lines.append(ProjLine(*(parse_rational(t) for t in tokens[1:])))
-            except ValueError as exc:
+            except GeometryError as exc:
                 raise ParseError(str(exc)) from exc
         elif keyword == "point":
             if len(tokens) != 5:
@@ -134,7 +137,7 @@ def parse(text: str) -> SceneDocument:
                 points.append(
                     (tokens[1], ProjPoint(*(parse_rational(t) for t in tokens[2:])))
                 )
-            except ValueError as exc:
+            except GeometryError as exc:
                 raise ParseError(str(exc)) from exc
         elif keyword == "chain":
             if len(tokens) < 3 or tokens[1] != "dual":

@@ -389,6 +389,188 @@ def test_concurrent_tangent_chain_rejects_even_or_tiny():
         concurrent_tangent_chain(lines[:2], start)
 
 
+# Exact walks recorded before the walk ran on integer pairs: a closing
+# 3-line configuration from a start with real tangents over Q(sqrt 60), both
+# branches, and from a start whose first tangent is the one at infinity; an
+# open configuration from a start with imaginary tangents; and a pencil
+# through (0 : 1 : 0). A scalar a + b sqrt(d) is written (a, b, d), the
+# parameter at infinity None.
+F = Fraction
+
+FROZEN_REAL_FIRST = (
+    [
+        (10, -5, 1),
+        (2260, (-6480, 214, 60), (6860, -749, 60)),
+        (58260540, (-143228650, 3521691, 60), (-105888580, 8217279, 60)),
+        (5073049410, (-13937010905, -2442461715, 60), (-4052889539, -976984686, 60)),
+        (660033660, (-2638262560, -278523354, 60), (4613683340, 974831739, 60)),
+        (368940, (-494770, 9309, 60), (291340, 21721, 60)),
+        (10, -5, 1),
+    ],
+    [
+        (F(-1, 2), F(1, 20), 60),
+        (F(-1183, 226), F(63, 452), 60),
+        (F(16379, 51558), F(-3177, 171860), 60),
+        (F(-228757, 39358), F(-371709, 393580), 60),
+        (F(-80507, 36894), F(2471, 24596), 60),
+        (F(-1, 2), F(-1, 20), 60),
+    ],
+    True,
+)
+
+FROZEN_REAL_SECOND = (
+    [
+        (10, -5, 1),
+        (2260, (-6480, -214, 60), (6860, 749, 60)),
+        (58260540, (-143228650, -3521691, 60), (-105888580, -8217279, 60)),
+        (5073049410, (-13937010905, 2442461715, 60), (-4052889539, 976984686, 60)),
+        (660033660, (-2638262560, 278523354, 60), (4613683340, -974831739, 60)),
+        (368940, (-494770, -9309, 60), (291340, -21721, 60)),
+        (10, -5, 1),
+    ],
+    [
+        (F(-1, 2), F(-1, 20), 60),
+        (F(-1183, 226), F(-63, 452), 60),
+        (F(16379, 51558), F(3177, 171860), 60),
+        (F(-228757, 39358), F(371709, 393580), 60),
+        (F(-80507, 36894), F(-2471, 24596), 60),
+        (F(-1, 2), F(1, 20), 60),
+    ],
+    True,
+)
+
+FROZEN_AT_INFINITY_FIRST = (
+    [
+        (0, 5, 2),
+        (0, 2, -7),
+        (1560, -1867, 1757),
+        (1283100, -543155, 167668),
+        (1860495, -4184582, 1622572),
+        (11310, -23159, -9716),
+        (0, 5, 2),
+    ],
+    [
+        None,
+        F(-7, 4),
+        F(-251, 390),
+        F(-334, 1645),
+        F(-4858, 1131),
+        F(1, 5),
+    ],
+    True,
+)
+
+FROZEN_AT_INFINITY_SECOND = (
+    [
+        (0, 5, 2),
+        (65, -116, -49),
+        (4290, -7877, -1568),
+        (3300, -4955, -992),
+        (60, -58, -217),
+        (0, 3, 7),
+        (0, 5, 2),
+    ],
+    [
+        F(1, 5),
+        F(-49, 13),
+        F(16, 165),
+        F(-31, 10),
+        F(7, 6),
+        None,
+    ],
+    True,
+)
+
+FROZEN_OPEN_IMAGINARY = (
+    [
+        (8, -5, 21),
+        (2464, (1650, 87, -572), (-3740, 290, -572)),
+        (61600, (68486, 217, -572), 31680),
+        (7400288000, (-1830256370, -1006065, -572), (-1443007104, 7511952, -572)),
+        (
+            117881527861364480,
+            (77469199200610734, 54943757738415, -572),
+            (-183825065478081020, 183145859128050, -572),
+        ),
+        (
+            7446309968783026619600,
+            (8626325213412870214214, 434522799535875225, -572),
+            3829530841088413690080,
+        ),
+        (
+            111370924673481134292340192000,
+            (-27686748836422227975389158870, -221798332919687688698625, -572),
+            (-20654579896404680297288839104, 1656094219133668075616400, -572),
+        ),
+    ],
+    [
+        (F(-5, 8), F(1, 16), -572),
+        (F(55, 28), F(5, 616), -572),
+        (F(363, 1400), F(-3, 2800), -572),
+        (F(-7970431, 10571840), F(3381, 4228736), -572),
+        (F(23062481045, 11150521372), F(2958375, 22301042744), -572),
+        (F(41512465881, 166949816075), F(-30429, 1907997898), -572),
+    ],
+    False,
+)
+
+FROZEN_PENCIL = (
+    [
+        (16, 7, -8),
+        (2048, (70, 59, 708), 864),
+        (1824768, (-222110, 32249, 708), 221184),
+        (14598144, (12031838, -728345, 708), -7299072),
+        (540672, (382970, -31451, 708), 228096),
+        (2112, (350, -41, 708), 256),
+    ],
+    [
+        (F(7, 16), F(1, 32), 708),
+        (F(-189, 512), F(27, 1024), 708),
+        (F(112, 891), F(8, 891), 708),
+        (F(6237, 4096), F(-891, 8192), 708),
+        (F(-7, 66), F(-1, 132), 708),
+    ],
+    True,
+)
+
+
+def _frozen(x):
+    return (x.a, x.b, x.d) if isinstance(x, QuadExt) else x
+
+
+def _frozen_walk(vertices, params, closed):
+    return (
+        [tuple(_frozen(c) for c in v.coords) for v in vertices],
+        [None if t.is_infinite else _frozen(t.value) for t in params],
+        closed,
+    )
+
+
+def test_exact_tangent_walks_frozen():
+    closing = LineConfiguration(
+        [ProjLine(3, 4, -10), ProjLine(14, 7, 2), ProjLine(917, 546, -234)]
+    )
+    open_config = LineConfiguration(
+        [ProjLine(245, 896, 120), ProjLine(45, -40, 12), ProjLine(18, 0, -35)]
+    )
+    for config, start, branch, expected in [
+        (closing, ProjPoint(10, -5, 1), "first", FROZEN_REAL_FIRST),
+        (closing, ProjPoint(10, -5, 1), "second", FROZEN_REAL_SECOND),
+        (closing, ProjPoint(0, 5, 2), "first", FROZEN_AT_INFINITY_FIRST),
+        (closing, ProjPoint(0, 5, 2), "second", FROZEN_AT_INFINITY_SECOND),
+        (open_config, ProjPoint(8, -5, 21), "first", FROZEN_OPEN_IMAGINARY),
+    ]:
+        chain = primal_chain(config, start, branch)
+        assert _frozen_walk(chain.vertices, chain.params, chain.closed) == expected
+    pencil = concurrent_tangent_chain(
+        [ProjLine(1, 0, 2), ProjLine(27, 0, -64), ProjLine(4, 0, -33)], ProjPoint(16, 7, -8)
+    )
+    assert pencil.closing_line == ProjLine(64, QuadExt(112, 8, 708), QuadExt(226, 7, 708))
+    assert _frozen_walk(
+        pencil.vertices, pencil.edge_params, pencil.closing_tangent
+    ) == FROZEN_PENCIL
+
+
 def test_two_line_closure_frozen():
     assert two_line_closure(0, 2)
     assert two_line_closure(1, 3)

@@ -211,3 +211,8 @@ def test_quadext_equal_elements_hash_equal(a, b, d, k):
         for v in (y, y + 1, -y, y.conjugate(), y * y):
             if u == v:
                 assert hash(u) == hash(v)
+
+
+def test_quadext_hash_separates_a_shared_rational_part():
+    # elements that share only their rational part need not share a bucket
+    assert len({hash(QuadExt(1, k, 2)) for k in range(1, 21)}) > 1

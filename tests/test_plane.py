@@ -12,7 +12,7 @@ from porism.errors import (
     IdentityMap,
     MixedBackend,
 )
-from porism.fields import QuadExt
+from porism.fields import QuadExt, rational_sqrt
 from porism.plane import (
     INFINITY,
     ConicParam,
@@ -54,6 +54,10 @@ def test_backend_kinds():
         ProjPoint(Fraction(1), 2.0, 3)
     with pytest.raises(ValueError):
         ProjPoint(0, 0, 0)
+    for bad in ((0, 0, 0), (Fraction(0), 0, 0), (0.0, 0.0, 0.0),
+                (float("nan"), 1.0, 0.0), (float("inf"), 0.0, 1.0)):
+        with pytest.raises(DegenerateTuple):
+            ProjPoint(*bad)
     with pytest.raises(ValueError):
         ProjPoint(float("nan"), 1.0, 0.0)
 
@@ -157,6 +161,70 @@ def test_integer_canonical_form_matches_its_definition(coords):
     canon = _exact_canonical(tuple(coords))
     assert canon == _canonical_by_lead(coords)
     assert all(type(c) is int for c in canon)
+
+
+def _extension_canonical_by_lead(coords):
+    """The canonical form's definition for a tuple with extension entries:
+    divide by the first nonzero entry, then multiply by the lcm of the
+    denominators over the gcd of the numerators of every nonzero rational
+    part and sqrt coefficient."""
+    lead = next(c for c in coords if c != 0)
+    scaled = [c / lead for c in coords]
+    parts = [
+        f for c in scaled for f in ((c.a, c.b) if isinstance(c, QuadExt) else (c,)) if f
+    ]
+    factor = Fraction(
+        math.lcm(*(f.denominator for f in parts)), math.gcd(*(f.numerator for f in parts))
+    )
+    return tuple(c * factor for c in scaled)
+
+
+def _components(coords):
+    """Each entry as (a, b, d), which pins its repr; rationals as (c, 0, None)."""
+    return [(c.a, c.b, c.d) if isinstance(c, QuadExt) else (c, 0, None) for c in coords]
+
+
+def _written_over(c, d):
+    """c with its sqrt coefficient rewritten over d (same field)."""
+    if not isinstance(c, QuadExt):
+        return c
+    return QuadExt(c.a, c.b * rational_sqrt(c.d / d), d)
+
+
+@st.composite
+def extension_tuples(draw):
+    """3- and 4-tuples over one Q(sqrt d), with at least one extension entry,
+    zero entries and negative leads among them; d includes non-squarefree
+    and non-integral radicands."""
+    d = draw(st.sampled_from([2, 3, 5, -1, -3, 8, 12, Fraction(7, 2), Fraction(-5, 3)]))
+    small = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        small,
+        st.builds(lambda a, b: QuadExt(a, b, d), small, small.filter(bool)),
+    )
+    return tuple(
+        draw(
+            st.lists(entry, min_size=3, max_size=4).filter(
+                lambda cs: any(isinstance(c, QuadExt) for c in cs)
+            )
+        )
+    )
+
+
+@given(extension_tuples(), st.sampled_from([2, 3, Fraction(1, 2)]), st.data())
+def test_pair_canonical_form_matches_its_definition(coords, k, data):
+    canon = _exact_canonical(coords)
+    assert _components(canon) == _components(_extension_canonical_by_lead(coords))
+    assert all(type(c) is int for c in canon if not isinstance(c, QuadExt))
+    # an entry written over d k^2 is read over the first extension entry's d
+    ext = [i for i, c in enumerate(coords) if isinstance(c, QuadExt)]
+    i = data.draw(st.sampled_from(ext))
+    mixed = list(coords)
+    mixed[i] = _written_over(coords[i], coords[i].d * k * k)
+    d = next(c.d for c in mixed if isinstance(c, QuadExt))
+    expected = _extension_canonical_by_lead([_written_over(c, d) for c in mixed])
+    assert _components(_exact_canonical(tuple(mixed))) == _components(expected)
 
 
 def test_mobius_map_classes():

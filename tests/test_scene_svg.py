@@ -87,6 +87,10 @@ def test_parse_infinity_param():
     "poncelet-scene 1\nconic canonical\nchain primal 1 2\n",
     "poncelet-scene 1\nconic canonical\nchain dual\n",
     "poncelet-scene 1\nconic canonical\ncircle 1 2 3\n",
+    "poncelet-scene 1\nconic canonical\nline \u0661 0 -1\n",
+    "poncelet-scene 1\nconic canonical\nline 1_000 0 -1\n",
+    "poncelet-scene 1\nconic canonical\nline +1 0 -1\n",
+    "poncelet-scene 1\nconic canonical\npoint A \u0663/\u0664 0 1\n",
 ])
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
