@@ -26,10 +26,6 @@ class Polynomial:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([c])
-
-    @classmethod
     def x(cls) -> "Polynomial":
         return cls([0, 1])
 
@@ -163,9 +159,6 @@ class Mat2:
 
     def det(self):
         return self.a * self.d - self.b * self.c
-
-    def scale(self, k) -> "Mat2":
-        return Mat2(k * self.a, k * self.b, k * self.c, k * self.d)
 
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -58,6 +57,7 @@ from .plane import (
     _pair_cross,
     _pair_dot,
     _pairs_over,
+    _repeats,
     _to_pairs,
     incident,
     is_involution,
@@ -138,25 +138,6 @@ def validate(config: LineConfiguration) -> ValidityReport:
     repeated = _repeats([p for group in groups for p in group])
     valid = not tangent_members and not repeated
     return ValidityReport(valid, tuple(tangent_members), tuple(repeated), tuple(groups))
-
-
-def _repeats(items: Sequence) -> list:
-    """The values that occur more than once in items, each as its first
-    occurrence, in order of first occurrence.
-
-    Exact values are counted by hash. Float values compare within a
-    tolerance, which no hash can agree with, so they are unhashable and
-    compared pairwise instead."""
-    try:
-        counts = Counter(items)
-    except TypeError:
-        repeated = []
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if items[i] == items[j] and items[i] not in repeated:
-                    repeated.append(items[i])
-        return repeated
-    return [x for x, k in counts.items() if k > 1]
 
 
 def _require_valid(config: LineConfiguration):
@@ -302,17 +283,15 @@ def _exact_walk(
     and the other tangent from a vertex x, by Vieta on
     x0 t^2 - 2 x1 t + x2, is (2 x1 V - x0 U : x0 V), or (x2 : 2 x1) after
     t = infinity. Each vertex and parameter is built once as a public value."""
-    if isinstance(t.value, QuadExt):
-        d = t.value.d
+    u, _ = t.pair()
+    if isinstance(u, QuadExt):
+        d = u.d
     else:
         d = start._d or next((l._d for l in lines if l._d), Fraction(0))
     q = d.denominator
     big_d = d.numerator * q
     line_pairs = [_pairs_over(l, d) for l in lines]
-    if t.is_infinite:
-        u0, u1, v = 1, 0, 0
-    else:
-        (u0, u1), (v, _) = _to_pairs((t.value, 1), d)
+    (u0, u1), (v, _) = _to_pairs(t.pair(), d)
     vertices = [start]
     edge_params = [t]
     for step, target in enumerate(targets):
@@ -403,12 +382,8 @@ def well_inscribed(chain: PolygonChain, config: LineConfiguration) -> bool:
         edges = [tangent_at(t) for t in chain.params]
     else:
         raise ValueError(f"unknown chain mode {chain.mode!r}")
-    if len(polygon) != 2 * config.n:
+    if len(polygon) != 2 * config.n or _repeats(polygon):
         return False
-    for i in range(len(polygon)):
-        for j in range(i + 1, len(polygon)):
-            if polygon[i] == polygon[j]:
-                return False
     if not all(is_tangent(e) for e in edges):
         return False
     lines = config.lines if config.kind == polygon[0].kind else config.as_float().lines

@@ -29,14 +29,15 @@ def conic_form(p: ProjPoint):
     return x0 * x2 - x1 * x1
 
 
-def on_conic(p: ProjPoint, tol: float = FLOAT_TOL) -> bool:
-    """Whether p satisfies x0*x2 = x1^2 (exact, or within tol for floats)."""
+def on_conic(p: ProjPoint) -> bool:
+    """Whether p satisfies x0*x2 = x1^2 (exact, or within 3 FLOAT_TOL for
+    floats)."""
     if p._pairs is not None:
         return _pairs_quadric_zero(p, 1)
     value = conic_form(p)
     if p.kind == "exact":
         return value == 0
-    return abs(value) <= tol * 3
+    return abs(value) <= FLOAT_TOL * 3
 
 
 def tangency_discriminant(l: ProjLine):
@@ -46,15 +47,15 @@ def tangency_discriminant(l: ProjLine):
     return l1 * l1 - 4 * l0 * l2
 
 
-def is_tangent(l: ProjLine, tol: float = FLOAT_TOL) -> bool:
+def is_tangent(l: ProjLine) -> bool:
     """Whether l touches the conic: a zero tangency discriminant (exact, or
-    within 10 tol for floats, whose coordinates have max-norm 1)."""
+    within 10 FLOAT_TOL for floats, whose coordinates have max-norm 1)."""
     if l._pairs is not None:
         return _pairs_quadric_zero(l, 4)
     disc = tangency_discriminant(l)
     if l.kind == "exact":
         return disc == 0
-    return abs(disc) <= tol * 10
+    return abs(disc) <= FLOAT_TOL * 10
 
 
 def veronese(t: ConicParam) -> ProjPoint:

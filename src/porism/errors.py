@@ -3,6 +3,15 @@
 Every degenerate input or impossible construction raises one of these, so
 harnesses can distinguish "the theorem failed" (an assertion) from "the
 instance was degenerate" (resample).
+
+Plain ValueError is kept for errors in the arguments rather than in the
+geometry: a count out of range (n < 2, a negative power, fewer than three points or lines,
+an empty chain, parameter lists of the wrong length, fewer than 8 samples,
+no trials), a bad `branch` or chain mode, repeated centers handed to
+aligned_centers_involutive, and misuse of a scalar (QuadExt() of a
+rational value or over a square d, the order or float image of an
+imaginary extension). line_basis keeps a ValueError for a case no valid
+line reaches. Non-scalar arguments raise TypeError.
 """
 
 
@@ -33,6 +42,10 @@ class DegenerateTuple(GeometryError, ValueError):
 
 class IdentityMap(GeometryError):
     """Operation undefined for the identity class of PGL(2)."""
+
+
+class SingularMap(GeometryError, ValueError):
+    """MobiusMap of a matrix with zero determinant."""
 
 
 class NotOnConic(GeometryError):

@@ -287,10 +287,6 @@ def _quadext_sqrt(x: QuadExt) -> QuadExt:
     raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({x.d}))")
 
 
-def is_exact(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction, QuadExt))
-
-
 def scalar_kind(x: Scalar) -> str:
     """'exact' or 'float'; raises TypeError for non-scalars."""
     if isinstance(x, (int, Fraction, QuadExt)):
@@ -298,16 +294,3 @@ def scalar_kind(x: Scalar) -> str:
     if isinstance(x, float):
         return "float"
     raise TypeError(f"not a scalar: {x!r}")
-
-
-def common_kind(values) -> str:
-    """Shared backend kind of an iterable of scalars; MixedBackend on a mix."""
-    kinds = {scalar_kind(v) for v in values}
-    if len(kinds) != 1:
-        raise MixedBackend(f"mixed scalar backends: {sorted(kinds)}")
-    return kinds.pop()
-
-
-def to_float(x: Scalar) -> float:
-    """Float image of any scalar (real extensions only)."""
-    return float(x)

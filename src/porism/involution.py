@@ -11,10 +11,8 @@ dual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Mat2
 from .conic import chord, pole, tangent_at
 from .errors import (
     CoincidentLines,
@@ -33,6 +31,8 @@ from .plane import (
     MobiusMap,
     ProjLine,
     ProjPoint,
+    _fixed_point_quadratic,
+    _repeats,
     collinear,
     concurrent,
     is_involution,
@@ -79,18 +79,11 @@ def involution_from_fixed(t1: ConicParam, t2: ConicParam) -> FregierInvolution:
     return fregier(meet(tangent_at(t1), tangent_at(t2)))
 
 
-def _fixed_point_quadratic(f: FregierInvolution) -> tuple:
-    """Binary quadratic (alpha, beta, gamma) whose roots are f's fixed
-    parameters: alpha u^2 + beta uv + gamma v^2."""
-    m = f.map.mat
-    return (m.c, m.d - m.a, -m.b)
-
-
 def share_fixed_point(u: FregierInvolution, v: FregierInvolution) -> bool:
     """Whether the two involutions fix a common parameter, decided by the
     resultant of their fixed-point quadratics (no square roots needed)."""
-    a1, b1, c1 = _fixed_point_quadratic(u)
-    a2, b2, c2 = _fixed_point_quadratic(v)
+    a1, b1, c1 = _fixed_point_quadratic(u.map)
+    a2, b2, c2 = _fixed_point_quadratic(v.map)
     res = (a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
     return res == 0
 
@@ -101,16 +94,6 @@ def harmonic_product_test(u: FregierInvolution, v: FregierInvolution) -> bool:
     if share_fixed_point(u, v):
         raise SharedFixedPoint("fixed-point sets are not disjoint")
     return is_involution(mobius_compose(u.map, v.map))
-
-
-def _int_entries(m: Mat2) -> tuple:
-    """The entries of m, with each integral Fraction as a plain int: the
-    centers of rational involutions are canonical, so chains of them
-    multiply over the integers instead of over Fractions."""
-    return tuple(
-        x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-        for x in m.entries()
-    )
 
 
 class InvolutionChain:
@@ -132,9 +115,9 @@ class InvolutionChain:
     @property
     def product(self) -> MobiusMap:
         if self._product is None:
-            a, b, c, d = _int_entries(self.members[0].map.mat)
+            a, b, c, d = self.members[0].map.mat.entries()
             for f in self.members[1:]:
-                p, q, r, s = _int_entries(f.map.mat)
+                p, q, r, s = f.map.mat.entries()
                 a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
             self._product = MobiusMap(a, b, c, d)
         return self._product
@@ -179,11 +162,9 @@ def pascal_line(
     The bool is always true on valid input; returning it keeps the check
     honest instead of assuming the theorem.
     """
-    params = (p1, p2, p3, q3, q2, q1)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if params[i] == params[j]:
-                raise DegenerateHexagon(f"repeated parameter {params[i]!r}")
+    repeated = _repeats((p1, p2, p3, q3, q2, q1))
+    if repeated:
+        raise DegenerateHexagon(f"repeated parameter {repeated[0]!r}")
     ps = (p1, p2, p3)
     qs = (q1, q2, q3)
     try:
@@ -227,11 +208,9 @@ def moebius_check(xs: Sequence[ConicParam], ys: Sequence[ConicParam]) -> Moebius
     n = len(xs)
     if n < 3 or len(ys) != n:
         raise ValueError("need two parameter lists of equal length n >= 3")
-    allp = xs + ys
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            if allp[i] == allp[j]:
-                raise DegenerateConstruction(f"repeated parameter {allp[i]!r}")
+    repeated = _repeats(xs + ys)
+    if repeated:
+        raise DegenerateConstruction(f"repeated parameter {repeated[0]!r}")
     try:
         points = [
             meet(chord(xs[j], xs[j + 1]), chord(ys[j], ys[j + 1]))

@@ -4,10 +4,18 @@ Points and lines carry canonical-normalized coordinate triples, so equality
 and hashing are exact for the rational and quadratic-extension backends. The
 float backend compares by proportionality within FLOAT_TOL.
 
-An exact rational triple is stored as its primitive integer multiple, in
-plain Python ints, and a rational parameter p/q pairs as the integers
-(p, q); so the incidence calculus and the Mobius action run over the
-integers, and each exact quotient of two ints is taken as a Fraction.
+Every exact object is one canonical tuple, built by _normalize:
+
+- a rational point or line is its primitive integer triple, in plain
+  Python ints, with a positive lead;
+- a Mobius map is its canonical matrix (the same normalization on the four
+  entries), so a rational map is a primitive integer matrix;
+- a parameter is its homogeneous pair (u, v): a rational p/q the ints
+  (p, q) in lowest terms with q > 0, infinity (1, 0), and an extension or
+  float value t the pair (t, 1).
+
+So the incidence calculus and the Mobius action run over the integers, and
+a Mobius image is its integer pair divided by one gcd.
 
 A triple over Q(sqrt d), d = p/q, also keeps three integer pairs
 ((a0, b0), (a1, b1), (a2, b2)) standing for the entries a_i + b_i sqrt(D)
@@ -21,16 +29,19 @@ run on the pairs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .algebra import Mat2
+from .algebra import Mat2, is_scalar_multiple_of_identity
 from .errors import (
     CoincidentLines,
     CoincidentPoints,
     DegenerateTuple,
     IdentityMap,
     MixedBackend,
+    SingularMap,
 )
 from .fields import (
     FLOAT_TOL,
@@ -43,16 +54,6 @@ from .fields import (
     scalar_kind,
     sqrt_scalar,
 )
-
-
-def _coerce_scalar(x) -> Scalar:
-    if isinstance(x, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, QuadExt, float)):
-        return x
-    raise TypeError(f"not a scalar coordinate: {x!r}")
 
 
 def _normalize(coords: tuple) -> tuple:
@@ -233,12 +234,12 @@ class _ProjTriple:
         return f"{type(self).__name__}({body})"
 
 
-def _float_proportional(u: tuple, v: tuple, tol: float = FLOAT_TOL) -> bool:
+def _float_proportional(u: tuple, v: tuple) -> bool:
     # all 2x2 minors small; canonical coords have max-norm 1
     m01 = u[0] * v[1] - u[1] * v[0]
     m02 = u[0] * v[2] - u[2] * v[0]
     m12 = u[1] * v[2] - u[2] * v[1]
-    return max(abs(m01), abs(m02), abs(m12)) <= tol
+    return max(abs(m01), abs(m02), abs(m12)) <= FLOAT_TOL
 
 
 class ProjPoint(_ProjTriple):
@@ -338,8 +339,9 @@ def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
     return _cross_triple(ProjPoint, l, m)
 
 
-def incident(l: ProjLine, p: ProjPoint, tol: float = FLOAT_TOL) -> bool:
-    """Whether the point lies on the line (exact, or within tol for floats)."""
+def incident(l: ProjLine, p: ProjPoint) -> bool:
+    """Whether the point lies on the line (exact, or within 3 FLOAT_TOL for
+    floats)."""
     if l.kind != p.kind:
         raise MixedBackend("incidence across backends")
     d = l._d or p._d
@@ -348,7 +350,7 @@ def incident(l: ProjLine, p: ProjPoint, tol: float = FLOAT_TOL) -> bool:
     dot = _dot(l.coords, p.coords)
     if l.kind == "exact":
         return dot == 0
-    return abs(dot) <= tol * 3
+    return abs(dot) <= FLOAT_TOL * 3
 
 
 def collinear(points) -> bool:
@@ -404,56 +406,98 @@ def point_on_line(l: ProjLine, t: "ConicParam") -> ProjPoint:
     return ProjPoint(*coords)
 
 
-class ConicParam:
-    """A point of P^1: a scalar value t, or the distinguished value infinity."""
+def _repeats(items: Sequence) -> list:
+    """The values that occur more than once in items, each as its first
+    occurrence, in order of first occurrence.
 
-    __slots__ = ("value",)
+    Exact values are counted by hash. Float values compare within a
+    tolerance, which no hash can agree with, so they are unhashable and
+    compared pairwise instead."""
+    try:
+        counts = Counter(items)
+    except TypeError:
+        repeated = []
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                if items[i] == items[j] and items[i] not in repeated:
+                    repeated.append(items[i])
+        return repeated
+    return [x for x, k in counts.items() if k > 1]
+
+
+class ConicParam:
+    """A point of P^1 as its homogeneous pair (u, v), the value t = u/v.
+
+    A rational p/q pairs as the ints (p, q) in lowest terms with q > 0, and
+    infinity as (1, 0); an extension or float value t pairs as (t, 1).
+    Equality and hashing read the pair; float values compare within
+    FLOAT_TOL and are unhashable.
+    """
+
+    __slots__ = ("_pair",)
 
     def __init__(self, value):
-        self.value = _coerce_scalar(value)
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            self._pair = (value.numerator, value.denominator)
+        elif isinstance(value, (QuadExt, float)):
+            self._pair = (value, 1)
+        else:
+            raise TypeError(f"not a scalar parameter: {value!r}")
+
+    @classmethod
+    def _from_pair(cls, u, v) -> "ConicParam":
+        """The parameter u/v of exact scalars or floats, not both zero:
+        infinity when v = 0, and a pair of ints divided by its gcd."""
+        if not v:
+            return INFINITY
+        if type(u) is int and type(v) is int:
+            g = math.gcd(u, v)
+            if v < 0:
+                g = -g
+            obj = object.__new__(cls)
+            obj._pair = (u // g, v // g)
+            return obj
+        return cls(u / v)
 
     @classmethod
     def infinity(cls) -> "ConicParam":
         obj = object.__new__(cls)
-        obj.value = None
+        obj._pair = (1, 0)
         return obj
 
     @property
     def is_infinite(self) -> bool:
-        return self.value is None
+        return not self._pair[1]
+
+    @property
+    def value(self):
+        """The scalar t: a Fraction when rational, None at infinity."""
+        u, v = self._pair
+        if not v:
+            return None
+        return Fraction(u, v) if isinstance(u, int) else u
 
     def pair(self) -> tuple:
-        """Homogeneous chart pair (u, v) with t = u/v; infinity is (1, 0) and
-        a rational p/q in lowest terms the integers (p, q)."""
-        value = self.value
-        if value is None:
-            return (1, 0)
-        if isinstance(value, Fraction):
-            return (value.numerator, value.denominator)
-        return (value, 1)
+        """The homogeneous pair (u, v) with t = u/v."""
+        return self._pair
 
     def __eq__(self, other):
         if not isinstance(other, ConicParam):
             return NotImplemented
-        if self.value is None or other.value is None:
-            return self.value is None and other.value is None
-        a, b = self.value, other.value
-        if isinstance(a, float) != isinstance(b, float):
-            return False
-        if isinstance(a, float):
-            return abs(a - b) <= FLOAT_TOL * max(1.0, abs(a), abs(b))
-        return a == b
+        (a, v), (b, w) = self._pair, other._pair
+        floats = isinstance(a, float) + isinstance(b, float)
+        if floats:
+            return floats == 2 and abs(a - b) <= FLOAT_TOL * max(1.0, abs(a), abs(b))
+        return a == b and v == w
 
     def __hash__(self):
-        if self.value is None:
-            return hash(("ConicParam", "inf"))
-        if isinstance(self.value, float):
+        if isinstance(self._pair[0], float):
             # equality within a tolerance has no hash that agrees with it
             raise TypeError("float-backed conic parameters are unhashable")
-        return hash(("ConicParam", self.value))
+        return hash(self._pair)
 
     def __repr__(self):
-        return "ConicParam(inf)" if self.value is None else f"ConicParam({self.value})"
+        return "ConicParam(inf)" if self.is_infinite else f"ConicParam({self.value})"
 
 
 INFINITY = ConicParam.infinity()
@@ -462,22 +506,24 @@ INFINITY = ConicParam.infinity()
 class MobiusMap:
     """Element of PGL(2) over an exact field, acting on ConicParams.
 
-    Two maps are equal iff their matrices are proportional; the determinant is
-    nonzero by construction. Entries are exact scalars (the float backend
-    never composes maps).
+    A map is its canonical matrix `mat`: the multiple of the given entries
+    that _normalize picks for a coordinate tuple, integral for a rational
+    map. Proportional matrices give one map with one `mat`, and equality
+    and hashing compare it. The determinant is nonzero; the zero matrix is
+    a DegenerateTuple, as every zero tuple. The float backend never
+    composes maps.
     """
 
-    __slots__ = ("mat", "_canon")
+    __slots__ = ("mat",)
 
     def __init__(self, a, b, c, d):
-        entries = tuple(_coerce_scalar(x) for x in (a, b, c, d))
-        if any(scalar_kind(x) != "exact" for x in entries):
+        entries, kind, _, _ = _normalize((a, b, c, d))
+        if kind != "exact":
             raise MixedBackend("MobiusMap entries must be exact scalars")
         mat = Mat2(*entries)
         if mat.det() == 0:
-            raise ValueError(f"singular matrix {entries!r}")
+            raise SingularMap(f"singular matrix {entries!r}")
         self.mat = mat
-        self._canon = _exact_canonical(entries)
 
     @classmethod
     def from_mat2(cls, m: Mat2) -> "MobiusMap":
@@ -488,16 +534,15 @@ class MobiusMap:
         return cls(1, 0, 0, 1)
 
     def is_identity_class(self) -> bool:
-        m = self.mat
-        return m.b == 0 and m.c == 0 and m.a == m.d
+        return is_scalar_multiple_of_identity(self.mat)
 
     def __eq__(self, other):
         if not isinstance(other, MobiusMap):
             return NotImplemented
-        return self._canon == other._canon
+        return self.mat == other.mat
 
     def __hash__(self):
-        return hash(self._canon)
+        return hash(self.mat)
 
     def __repr__(self):
         m = self.mat
@@ -505,18 +550,12 @@ class MobiusMap:
 
 
 def mobius_apply(g: MobiusMap, t: ConicParam) -> ConicParam:
-    """(a t + b)/(c t + d) with the infinity conventions."""
-    if not t.is_infinite and scalar_kind(t.value) != "exact":
-        raise MixedBackend("MobiusMap acts on exact parameters only")
+    """(a t + b)/(c t + d), on the pair (u, v) of t: (a u + b v : c u + d v)."""
     u, v = t.pair()
-    # any multiple of the matrix acts alike; the canonical one is integral
-    # for a rational map
-    a, b, c, d = g._canon
-    num = a * u + b * v
-    den = c * u + d * v
-    if den == 0:
-        return INFINITY
-    return ConicParam(_quotient(num, den))
+    if isinstance(u, float):
+        raise MixedBackend("MobiusMap acts on exact parameters only")
+    m = g.mat
+    return ConicParam._from_pair(m.a * u + m.b * v, m.c * u + m.d * v)
 
 
 def mobius_compose(g: MobiusMap, h: MobiusMap) -> MobiusMap:
@@ -542,6 +581,13 @@ class ParamRoots:
     double: bool
 
 
+def _fixed_point_quadratic(g: MobiusMap) -> tuple:
+    """The binary quadratic (c, d - a, -b) of g = [[a, b], [c, d]], whose
+    roots c u^2 + (d - a) uv - b v^2 = 0 are the fixed parameters of g."""
+    m = g.mat
+    return (m.c, m.d - m.a, -m.b)
+
+
 def fixed_points(g: MobiusMap) -> ParamRoots:
     """Fixed parameters of g: roots of c t^2 + (d - a) t - b = 0.
 
@@ -550,8 +596,7 @@ def fixed_points(g: MobiusMap) -> ParamRoots:
     """
     if g.is_identity_class():
         raise IdentityMap("every parameter is fixed")
-    m = g.mat
-    return _quadratic_params(m.c, m.d - m.a, -m.b)
+    return _quadratic_params(*_fixed_point_quadratic(g))
 
 
 def _quadratic_params(a, b, c) -> ParamRoots:
@@ -565,9 +610,9 @@ def _quadratic_params(a, b, c) -> ParamRoots:
     if a == 0:
         if b == 0:
             return ParamRoots((INFINITY,), disc, True)
-        return ParamRoots((INFINITY, ConicParam(_quotient(-c, b))), disc, False)
+        return ParamRoots((INFINITY, ConicParam._from_pair(-c, b)), disc, False)
     if disc == 0:
-        return ParamRoots((ConicParam(_quotient(-b, 2 * a)),), disc, True)
+        return ParamRoots((ConicParam._from_pair(-b, 2 * a),), disc, True)
     if type(disc) is int:
         # integer coefficients: the roots (-b +- sqrt(disc)) / 2a directly
         r = math.isqrt(disc) if disc > 0 else 0
@@ -588,13 +633,12 @@ def _quadratic_params(a, b, c) -> ParamRoots:
 def cross_ratio(a: ConicParam, b: ConicParam, c: ConicParam, d: ConicParam) -> Scalar:
     """((a-c)(b-d)) / ((a-d)(b-c)), computed homogeneously so infinity needs no case."""
     params = (a, b, c, d)
-    kinds = {scalar_kind(t.value) for t in params if not t.is_infinite}
+    kinds = {scalar_kind(t.pair()[0]) for t in params if not t.is_infinite}
     if len(kinds) > 1:
         raise MixedBackend("cross ratio of parameters from different backends")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if params[i] == params[j]:
-                raise DegenerateTuple(f"repeated parameter {params[i]!r}")
+    repeated = _repeats(params)
+    if repeated:
+        raise DegenerateTuple(f"repeated parameter {repeated[0]!r}")
     pa, pb, pc, pd = (t.pair() for t in params)
 
     def two_det(p, q):

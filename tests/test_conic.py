@@ -327,7 +327,8 @@ def test_mobius_action_and_cross_ratio_answer_exactly(entries, ts):
     if not g.is_identity_class():
         roots = fixed_points(g)
         assert _no_float(roots)
-        assert (roots.params, roots.discriminant) == _ref_quadratic(c, d - a, -b)
+        ma, mb, mc, md = (Fraction(e) for e in g.mat.entries())
+        assert (roots.params, roots.discriminant) == _ref_quadratic(mc, md - ma, -mb)
 
     if len(set(ts)) == 4:
         pa, pb, pc, pd = map(_fraction_pair, ts)

@@ -9,13 +9,10 @@ from porism.errors import FieldInsufficient, MixedBackend
 from porism.fields import (
     FLOAT_TOL,
     QuadExt,
-    common_kind,
-    is_exact,
     quadext,
     rational_sqrt,
     scalar_kind,
     sqrt_scalar,
-    to_float,
 )
 
 fractions = st.fractions(min_value=-60, max_value=60, max_denominator=12)
@@ -174,11 +171,6 @@ def test_scalar_kind_and_helpers():
     assert scalar_kind(1.5) == "float"
     with pytest.raises(TypeError):
         scalar_kind("x")
-    assert is_exact(Fraction(1)) and not is_exact(1.0)
-    assert common_kind([1, Fraction(2)]) == "exact"
-    with pytest.raises(MixedBackend):
-        common_kind([1.0, Fraction(2)])
-    assert to_float(QuadExt(1, 1, 2)) == pytest.approx(1 + 2 ** 0.5, rel=FLOAT_TOL)
 
 
 @given(quad_elements)

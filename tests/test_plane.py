@@ -11,6 +11,7 @@ from porism.errors import (
     DegenerateTuple,
     IdentityMap,
     MixedBackend,
+    SingularMap,
 )
 from porism.fields import QuadExt, rational_sqrt
 from porism.plane import (
@@ -234,7 +235,7 @@ def test_mobius_map_classes():
     assert MobiusMap.identity().is_identity_class()
     assert MobiusMap(5, 0, 0, 5).is_identity_class()
     assert not g.is_identity_class()
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularMap):
         MobiusMap(1, 2, 2, 4)  # determinant zero
     with pytest.raises(MixedBackend):
         MobiusMap(1.0, 0, 0, 1)
@@ -254,10 +255,42 @@ mobius_entries = st.tuples(fractions, fractions, fractions, fractions).filter(
 )
 
 
-@given(mobius_entries, mobius_entries, params)
-def test_mobius_compose_applies_right_first(eg, eh, t):
+int_pairs = st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(any)
+
+
+@given(mobius_entries, mobius_entries, params, int_pairs)
+def test_mobius_compose_applies_right_first(eg, eh, t, pair):
     g, h = MobiusMap(*eg), MobiusMap(*eh)
     assert mobius_apply(mobius_compose(g, h), t) == mobius_apply(g, mobius_apply(h, t))
+    # a parameter built from an integer pair, as mobius_apply builds its images
+    u, v = pair
+    s = ConicParam._from_pair(u, v)
+    expected = INFINITY if v == 0 else ConicParam(Fraction(u, v))
+    assert s == expected and hash(s) == hash(expected)
+    assert mobius_apply(mobius_compose(g, h), s) == mobius_apply(g, mobius_apply(h, s))
+
+
+small_entries = st.tuples(*[st.integers(-9, 9)] * 4).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+scales = st.one_of(
+    fractions.filter(bool),
+    st.builds(QuadExt, fractions, fractions.filter(bool),
+              st.sampled_from([2, 3, -1, Fraction(5, 2)])),
+)
+
+
+@given(small_entries, scales)
+def test_equal_maps_have_one_matrix_repr_and_fixed_points(entries, k):
+    g, h = MobiusMap(*entries), MobiusMap(*(k * e for e in entries))
+    assert g == h and hash(g) == hash(h)
+    assert g.mat == h.mat and repr(g) == repr(h)
+    assert all(type(x) is int for x in h.mat.entries())
+    if not g.is_identity_class():
+        assert fixed_points(g) == fixed_points(h)
+
+
+def test_a_map_is_its_canonical_matrix():
+    assert repr(MobiusMap(2, 4, 6, 8)) == "MobiusMap([[1, 2], [3, 4]])"
+    assert MobiusMap(Fraction(-1, 2), 0, 0, Fraction(-1, 3)).mat.entries() == (3, 0, 0, 2)
 
 
 def test_is_involution():
