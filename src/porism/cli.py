@@ -2,6 +2,10 @@
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 input or
 validation error (bad scene, unknown suite, bad arguments).
+
+Each command imports the modules it runs inside its own function: every
+invocation starts a fresh interpreter, so `twolines` loads no geometry
+module and `construct`, `porism` and `plot` never load the suite runner.
 """
 from __future__ import annotations
 
@@ -11,14 +15,6 @@ import random
 import sys
 from fractions import Fraction
 
-from .closure import (
-    _random_fraction,
-    dual_chain,
-    generate_closing,
-    porism_holds,
-    primal_chain,
-    two_line_closure,
-)
 from .errors import (
     DegenerateStart,
     FieldInsufficient,
@@ -28,10 +24,6 @@ from .errors import (
     ParseError,
     UnknownSuite,
 )
-from .plane import ConicParam, ProjPoint, point_on_line
-from .scene import SceneDocument, load_scene, save_scene
-from .suites import run_suite
-from .svg import render_scene
 
 _CHAIN_TRIES = 60
 # the roots of P_{n-1} are 2cos(k pi/n), k = 1 .. n-1; by Niven's theorem the
@@ -39,11 +31,16 @@ _CHAIN_TRIES = 60
 _RATIONAL_ROOTS = {Fraction(1, 2): 0, Fraction(1, 3): 1, Fraction(2, 3): -1}
 
 
-def _sample_exact_start(rng: random.Random) -> ConicParam:
+def _sample_exact_start(rng: random.Random):
+    from .closure import _random_fraction
+    from .plane import ConicParam
+
     return ConicParam(_random_fraction(rng, 60, 20))
 
 
 def cmd_verify(args) -> int:
+    from .suites import run_suite
+
     report = run_suite(args.suite, args.trials, args.seed)
     print(
         f"suite {report.suite}: trials={report.trials} "
@@ -56,6 +53,8 @@ def cmd_verify(args) -> int:
 
 
 def _closed_dual_chains(config, starts: int, rng: random.Random) -> tuple[int, int]:
+    from .closure import dual_chain
+
     closed = 0
     sampled = 0
     while sampled < starts:
@@ -74,6 +73,9 @@ def _closed_dual_chains(config, starts: int, rng: random.Random) -> tuple[int, i
 
 
 def _closed_primal_chains(config, starts: int, rng: random.Random) -> tuple[int, int]:
+    from .closure import primal_chain
+    from .plane import ConicParam, point_on_line
+
     float_lines = config.as_float().lines
     closed = 0
     sampled = 0
@@ -96,6 +98,9 @@ def _closed_primal_chains(config, starts: int, rng: random.Random) -> tuple[int,
 
 
 def cmd_porism(args) -> int:
+    from .closure import porism_holds
+    from .scene import load_scene
+
     scene = load_scene(args.scene)
     config = scene.configuration()
     holds = porism_holds(config)
@@ -113,6 +118,9 @@ def cmd_porism(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .closure import dual_chain, generate_closing
+    from .scene import SceneDocument, save_scene
+
     config = generate_closing(args.n, args.seed)
     rng = random.Random(args.seed)
     chains = []
@@ -133,6 +141,8 @@ def cmd_twolines(args) -> int:
         if args.x is None:
             print("error: check mode needs --x", file=sys.stderr)
             return 2
+        from .closure import two_line_closure
+
         verdict = two_line_closure(Fraction(args.x), args.n)
         print(f"closes at n={args.n}: {'true' if verdict else 'false'}")
         return 0
@@ -150,6 +160,9 @@ def cmd_twolines(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .scene import load_scene
+    from .svg import render_scene
+
     scene = load_scene(args.scene)
     svg = render_scene(scene, samples=args.samples)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Mat2, is_scalar_multiple_of_identity
 from .conic import (
@@ -67,8 +66,7 @@ from .plane import (
 )
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     """Per-line and global admissibility of a configuration."""
 
     valid: bool
@@ -83,11 +81,11 @@ class ValidityReport:
 
 class LineConfiguration:
     """An ordered tuple of n >= 2 pairwise distinct lines with cached poles,
-    pole-involution chain and validity. Valid means: no member tangent to the
-    conic, and the 2n intersection parameters pairwise distinct (in extension
-    where needed)."""
+    pole-involution chain, validity and set of intersection parameters.
+    Valid means: no member tangent to the conic, and the 2n intersection
+    parameters pairwise distinct (in extension where needed)."""
 
-    __slots__ = ("lines", "_report", "_poles", "_chain")
+    __slots__ = ("lines", "_report", "_poles", "_chain", "_forbidden")
 
     def __init__(self, lines: Sequence[ProjLine]):
         lines = tuple(lines)
@@ -102,6 +100,7 @@ class LineConfiguration:
         self._report: Optional[ValidityReport] = None
         self._poles: Optional[tuple[ProjPoint, ...]] = None
         self._chain: Optional[InvolutionChain] = None
+        self._forbidden: Optional[frozenset[ConicParam]] = None
 
     @property
     def n(self) -> int:
@@ -171,8 +170,7 @@ def porism_holds(config: LineConfiguration) -> bool:
     return is_involution(pole_involutions(config).product)
 
 
-@dataclass(frozen=True)
-class PolygonChain:
+class PolygonChain(NamedTuple):
     """A walked polygon.
 
     Dual mode: params are the 2n+1 conic parameters p_0, ..., p_{2n} (last is
@@ -195,7 +193,9 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
     """Push a conic parameter through the pole involutions, twice around."""
     _require_valid(config)
     chain = pole_involutions(config)
-    forbidden = set(config.report.all_params)
+    if config._forbidden is None:
+        config._forbidden = frozenset(config.report.all_params)
+    forbidden = config._forbidden
     if start in forbidden:
         raise DegenerateStart(f"{start!r} lies on a configuration line")
     params = [start]
@@ -393,8 +393,7 @@ def well_inscribed(chain: PolygonChain, config: LineConfiguration) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TangentClosure:
+class TangentClosure(NamedTuple):
     """Walk of an odd pencil: the vertices, the tangency parameters of the
     walked edges, and the closing line with its tangency verdict."""
 
@@ -497,8 +496,7 @@ def random_configuration(n: int, seed: int, max_tries: int = 400) -> LineConfigu
     raise GenerationExhausted(f"no valid configuration after {max_tries} tries")
 
 
-@dataclass(frozen=True)
-class TwoLineSystem:
+class TwoLineSystem(NamedTuple):
     """The degenerate two-line porism normal form: the involution u fixing
     {1, -1} and the involution v fixing {0, 2/x}, as parameter matrices
     [[0, 1], [1, 0]] and [[1, 0], [x, -1]]."""

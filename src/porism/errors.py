@@ -10,8 +10,7 @@ an empty chain, parameter lists of the wrong length, fewer than 8 samples,
 no trials), a bad `branch` or chain mode, repeated centers handed to
 aligned_centers_involutive, and misuse of a scalar (QuadExt() of a
 rational value or over a square d, the order or float image of an
-imaginary extension). line_basis keeps a ValueError for a case no valid
-line reaches. Non-scalar arguments raise TypeError.
+imaginary extension). Non-scalar arguments raise TypeError.
 """
 
 

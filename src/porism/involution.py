@@ -10,8 +10,7 @@ dual.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .conic import chord, pole, tangent_at
 from .errors import (
@@ -43,8 +42,7 @@ from .plane import (
 )
 
 
-@dataclass(frozen=True)
-class FregierInvolution:
+class FregierInvolution(NamedTuple):
     """A conic involution together with the center realizing it."""
 
     center: ProjPoint
@@ -177,8 +175,7 @@ def pascal_line(
     return points, collinear(points)
 
 
-@dataclass(frozen=True)
-class MoebiusReport:
+class MoebiusReport(NamedTuple):
     """Outcome of the inscribed-polygon collinearity check.
 
     points are a_1 .. a_n; hypothesis_met says whether a_1 .. a_{n-1} are
@@ -232,8 +229,7 @@ def moebius_check(xs: Sequence[ConicParam], ys: Sequence[ConicParam]) -> Moebius
     return MoebiusReport(points, True, collinear(points))
 
 
-@dataclass(frozen=True)
-class DualMoebiusReport:
+class DualMoebiusReport(NamedTuple):
     """Outcome of the circumscribed-polygon concurrency check, with the
     transported inscribed-polygon verdict it must agree with."""
 

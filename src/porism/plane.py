@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import Mat2, is_scalar_multiple_of_identity
 from .errors import (
@@ -394,7 +393,7 @@ def line_basis(l: ProjLine) -> tuple[ProjPoint, ProjPoint]:
     for other in candidates[1:]:
         if any(x != 0 for x in _cross(first, other)):
             return ProjPoint(*first), ProjPoint(*other)
-    raise ValueError(f"no basis for {l!r}")  # unreachable for a valid line
+    raise DegenerateTuple(f"no basis for {l!r}")  # unreachable for a valid line
 
 
 def point_on_line(l: ProjLine, t: "ConicParam") -> ProjPoint:
@@ -568,8 +567,7 @@ def is_involution(g: MobiusMap) -> bool:
     return not g.is_identity_class() and g.mat.trace() == 0
 
 
-@dataclass(frozen=True)
-class ParamRoots:
+class ParamRoots(NamedTuple):
     """Roots of a parameter quadratic, with the discriminant that produced them.
 
     `params` has 0, 1 (double = True), or 2 entries; the empty case means the

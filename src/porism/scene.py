@@ -17,13 +17,14 @@ start is, while primal chains generally live in a quadratic extension.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .closure import LineConfiguration
 from .errors import GeometryError, ParseError
 from .plane import INFINITY, ConicParam, ProjLine, ProjPoint
+
+if TYPE_CHECKING:  # imported on use, so that `plot` never loads closure
+    from .closure import LineConfiguration
 
 HEADER = "poncelet-scene 1"
 CONIC_RECORD = "conic canonical"
@@ -68,16 +69,17 @@ def _format_triple(coords) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class SceneDocument:
+class SceneDocument(NamedTuple):
     """A parsed or to-be-serialized scene: configuration lines, optional
     named points, optional dual-chain parameter traces."""
 
     lines: tuple[ProjLine, ...]
-    points: tuple[tuple[str, ProjPoint], ...] = field(default=())
-    chains: tuple[tuple[ConicParam, ...], ...] = field(default=())
+    points: tuple[tuple[str, ProjPoint], ...] = ()
+    chains: tuple[tuple[ConicParam, ...], ...] = ()
 
     def configuration(self) -> LineConfiguration:
+        from .closure import LineConfiguration
+
         return LineConfiguration(self.lines)
 
     @classmethod

@@ -10,7 +10,16 @@ import pytest
 
 import porism
 from porism.cli import main
-from porism.plane import ConicParam, ProjLine
+from porism.closure import (
+    LineConfiguration,
+    TangentClosure,
+    TwoLineSystem,
+    dual_chain,
+    validate,
+)
+from porism.conic import line_conic_params
+from porism.involution import DualMoebiusReport, MoebiusReport, fregier
+from porism.plane import INFINITY, ConicParam, ProjLine, ProjPoint
 from porism.scene import SceneDocument, load_scene, save_scene, serialize
 
 
@@ -135,6 +144,127 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+_FOOTPRINT = (
+    "import sys\n"
+    "from porism.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules\n"
+    "                      if m.startswith('porism') or m == 'dataclasses')))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _probe(code: str, args=(), cwd=None) -> str:
+    """Standard output of a fresh interpreter running code against this
+    checkout's package."""
+    src = str(Path(porism.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _footprint(args, cwd=None) -> set:
+    """The porism modules, and dataclasses if loaded, after one CLI command."""
+    return set(_probe(_FOOTPRINT, args, cwd).splitlines()[-1].split())
+
+
+def test_package_import_loads_no_submodule():
+    probe = "import sys, porism; print(sorted(m for m in sys.modules if 'porism' in m))"
+    assert _probe(probe).strip() == "['porism']"
+
+
+def test_twolines_loads_no_geometry_module():
+    assert _footprint(["twolines", "--n", "12"]) == {
+        "porism", "porism.cli", "porism.errors"
+    }
+
+
+def test_scene_commands_load_neither_suites_nor_dataclasses(tmp_path):
+    commands = (
+        ["construct", "5", "--seed", "1", "--out", "s.scene"],
+        ["porism", "s.scene"],
+        ["plot", "s.scene", "--out", "s.svg"],
+    )
+    for args in commands:
+        loaded = _footprint(args, cwd=tmp_path)
+        assert "porism.suites" not in loaded, args
+        assert "dataclasses" not in loaded, args
+    assert "porism.closure" not in loaded  # plot builds no configuration
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from porism import *", namespace)
+    assert len(porism.__all__) == 81
+    assert set(porism.__all__) <= set(namespace)
+    assert set(porism.__all__) <= set(dir(porism))
+    from porism import closure, svg
+
+    assert namespace["dual_chain"] is closure.dual_chain
+    assert namespace["render_scene"] is svg.render_scene
+    assert namespace["__version__"] == porism.__version__
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        porism.no_such_name
+
+
+def _records():
+    """One instance of each record type, with its repr at the time the
+    records were frozen dataclasses."""
+    config = LineConfiguration([ProjLine(1, 0, -1), ProjLine(0, 1, 0)])
+    point = ProjPoint(1, 0, 1)
+    return [
+        (line_conic_params(ProjLine(1, 0, -1)),
+         "ParamRoots(params=(ConicParam(-1), ConicParam(1)), discriminant=4, "
+         "double=False)"),
+        (fregier(ProjPoint(0, 1, 0)),
+         "FregierInvolution(center=ProjPoint(0:1:0), "
+         "map=MobiusMap([[1, 0], [0, -1]]))"),
+        (MoebiusReport((ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)), False, None),
+         "MoebiusReport(points=(ProjPoint(1:0:0), ProjPoint(0:1:0)), "
+         "hypothesis_met=False, conclusion=None)"),
+        (DualMoebiusReport((ProjLine(1, 0, 0),), True, True,
+                           MoebiusReport((ProjPoint(1, 0, 0),), True, True)),
+         "DualMoebiusReport(diagonals=(ProjLine(1:0:0),), hypothesis_met=True, "
+         "conclusion=True, primal=MoebiusReport(points=(ProjPoint(1:0:0),), "
+         "hypothesis_met=True, conclusion=True))"),
+        (validate(config),
+         "ValidityReport(valid=True, tangent_members=(), repeated_params=(), "
+         "params=((ConicParam(-1), ConicParam(1)), (ConicParam(inf), ConicParam(0))))"),
+        (dual_chain(config, ConicParam(3)),
+         "PolygonChain(mode='dual', params=(ConicParam(3), ConicParam(1/3), "
+         "ConicParam(-1/3), ConicParam(-3), ConicParam(3)), vertices=("
+         "ProjPoint(1:3:9), ProjPoint(9:3:1), ProjPoint(9:-3:1), ProjPoint(1:-3:9)), "
+         "closed=True, steps=4)"),
+        (TangentClosure((point,), (INFINITY,), ProjLine(0, 0, 1), True, 0),
+         "TangentClosure(vertices=(ProjPoint(1:0:1),), edge_params=(ConicParam(inf),), "
+         "closing_line=ProjLine(0:0:1), closing_tangent=True, discriminant=0)"),
+        (TwoLineSystem.at(2),
+         "TwoLineSystem(x=Fraction(2, 1), mat_u=Mat2(0, 1, 1, 0), "
+         "mat_v=Mat2(1, 0, Fraction(2, 1), -1))"),
+        (SceneDocument((ProjLine(1, 0, -1),), (("A", point),)),
+         "SceneDocument(lines=(ProjLine(1:0:-1),), points=(('A', ProjPoint(1:0:1)),), "
+         "chains=())"),
+    ]
+
+
+def test_records_keep_their_repr_equality_and_hash():
+    records = _records()
+    assert len({type(record) for record, _ in records}) == 9
+    for (record, text), (again, _) in zip(records, _records()):
+        assert repr(record) == text
+        assert record == again
+        # a frozen dataclass hashed the tuple of its fields, in order
+        values = tuple(getattr(record, name) for name in record._fields)
+        assert hash(record) == hash(again) == hash(values)
 
 
 def test_python_dash_m_porism_runs_the_cli():

@@ -156,6 +156,17 @@ def test_dual_chain_frozen():
     assert well_inscribed(chain, X0_CONFIG)
 
 
+def test_dual_chain_builds_the_forbidden_set_once():
+    config = LineConfiguration(X0_CONFIG.lines)
+    dual_chain(config, ConicParam(Fraction(3)))
+    forbidden = config._forbidden
+    assert forbidden == frozenset(config.report.all_params)
+    with pytest.raises(DegenerateStart):
+        dual_chain(config, ConicParam(Fraction(1)))
+    dual_chain(config, ConicParam(Fraction(5)))
+    assert config._forbidden is forbidden  # built once per configuration
+
+
 def test_dual_chain_degenerate_starts():
     with pytest.raises(DegenerateStart):
         dual_chain(X0_CONFIG, ConicParam(Fraction(1)))  # config meets D here
