@@ -31,11 +31,28 @@ _CHAIN_TRIES = 60
 _RATIONAL_ROOTS = {Fraction(1, 2): 0, Fraction(1, 3): 1, Fraction(2, 3): -1}
 
 
-def _sample_exact_start(rng: random.Random):
-    from .closure import _random_fraction
+def _dual_walk(config, rng: random.Random):
+    """The dual chain of config from a seeded rational start."""
+    from .closure import _random_fraction, dual_chain
     from .plane import ConicParam
 
-    return ConicParam(_random_fraction(rng, 60, 20))
+    return dual_chain(config, ConicParam(_random_fraction(rng, 60, 20)))
+
+
+def _walk_chains(walk, skip, starts: int) -> list:
+    """The chains of `starts` calls to walk(), each redrawn up to
+    _CHAIN_TRIES times while it raises one of the exceptions in skip."""
+    chains = []
+    for _ in range(starts):
+        for _ in range(_CHAIN_TRIES):
+            try:
+                chains.append(walk())
+                break
+            except skip:
+                continue
+        else:
+            raise GenerationExhausted("could not sample an admissible start")
+    return chains
 
 
 def cmd_verify(args) -> int:
@@ -52,53 +69,9 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _closed_dual_chains(config, starts: int, rng: random.Random) -> tuple[int, int]:
-    from .closure import dual_chain
-
-    closed = 0
-    sampled = 0
-    while sampled < starts:
-        for _ in range(_CHAIN_TRIES):
-            try:
-                chain = dual_chain(config, _sample_exact_start(rng))
-                break
-            except DegenerateStart:
-                continue
-        else:
-            raise GenerationExhausted("could not sample an admissible start")
-        sampled += 1
-        if chain.closed:
-            closed += 1
-    return closed, sampled
-
-
-def _closed_primal_chains(config, starts: int, rng: random.Random) -> tuple[int, int]:
-    from .closure import primal_chain
-    from .plane import ConicParam, point_on_line
-
-    float_lines = config.as_float().lines
-    closed = 0
-    sampled = 0
-    while sampled < starts:
-        for _ in range(_CHAIN_TRIES):
-            try:
-                start = point_on_line(
-                    float_lines[0], ConicParam(rng.uniform(-8.0, 8.0))
-                )
-                chain = primal_chain(config, start)
-                break
-            except (DegenerateStart, FieldInsufficient):
-                continue
-        else:
-            raise GenerationExhausted("could not sample an admissible start")
-        sampled += 1
-        if chain.closed:
-            closed += 1
-    return closed, sampled
-
-
 def cmd_porism(args) -> int:
-    from .closure import porism_holds
+    from .closure import porism_holds, primal_chain
+    from .plane import ConicParam, point_on_line
     from .scene import load_scene
 
     scene = load_scene(args.scene)
@@ -106,31 +79,32 @@ def cmd_porism(args) -> int:
     holds = porism_holds(config)
     rng = random.Random(args.seed)
     if args.backend == "exact":
-        closed, sampled = _closed_dual_chains(config, args.starts, rng)
+        walk, skip = (lambda: _dual_walk(config, rng)), DegenerateStart
     else:
-        closed, sampled = _closed_primal_chains(config, args.starts, rng)
-    expected = sampled if holds else 0
-    agree = closed == expected
+        line = config.as_float().lines[0]
+
+        def walk():
+            start = point_on_line(line, ConicParam(rng.uniform(-8.0, 8.0)))
+            return primal_chain(config, start)
+
+        skip = (DegenerateStart, FieldInsufficient)
+    chains = _walk_chains(walk, skip, args.starts)
+    closed = sum(chain.closed for chain in chains)
+    agree = closed == (len(chains) if holds else 0)
     print(f"porism_holds={'true' if holds else 'false'}")
-    print(f"chains closed: {closed}/{sampled} ({args.backend} backend)")
+    print(f"chains closed: {closed}/{len(chains)} ({args.backend} backend)")
     print(f"agreement: {'ok' if agree else 'MISMATCH'}")
     return 0 if agree else 1
 
 
 def cmd_construct(args) -> int:
-    from .closure import dual_chain, generate_closing
+    from .closure import generate_closing
     from .scene import SceneDocument, save_scene
 
     config = generate_closing(args.n, args.seed)
     rng = random.Random(args.seed)
-    chains = []
-    for _ in range(_CHAIN_TRIES):
-        try:
-            chains.append(dual_chain(config, _sample_exact_start(rng)).params)
-            break
-        except DegenerateStart:
-            continue
-    scene = SceneDocument.from_configuration(config, chains=chains)
+    [chain] = _walk_chains(lambda: _dual_walk(config, rng), DegenerateStart, 1)
+    scene = SceneDocument.from_configuration(config, chains=[chain.params])
     save_scene(scene, args.out)
     print(f"wrote {args.n}-line closing scene to {args.out}")
     return 0
@@ -143,7 +117,12 @@ def cmd_twolines(args) -> int:
             return 2
         from .closure import two_line_closure
 
-        verdict = two_line_closure(Fraction(args.x), args.n)
+        try:
+            x = Fraction(args.x)
+        except ZeroDivisionError:
+            print(f"error: --x {args.x} has a zero denominator", file=sys.stderr)
+            return 2
+        verdict = two_line_closure(x, args.n)
         print(f"closes at n={args.n}: {'true' if verdict else 'false'}")
         return 0
     if args.n < 2:
@@ -221,8 +200,7 @@ def main(argv=None) -> int:
         UnknownSuite,
         InvalidConfiguration,
         MixedBackend,
-        FileNotFoundError,
-        IsADirectoryError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

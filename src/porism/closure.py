@@ -465,13 +465,16 @@ def generate_closing(n: int, seed: int, max_tries: int = 400) -> LineConfigurati
             locus = closing_center_locus(chain)
             last_center = point_on_line(locus, ConicParam(_random_fraction(rng)))
             full = chain.extended(fregier(last_center))
-            if full.product.is_identity_class():
+            # the last center lies on the locus, so the product has trace
+            # zero: an involution unless it is the identity
+            if not is_involution(full.product):
                 continue
             config = LineConfiguration([polar(f.center) for f in full.members])
             if not config.report.valid:
                 continue
-            if not porism_holds(config):
-                continue
+            # the pole of each polar is its center, so full is the
+            # configuration's pole-involution chain
+            config._chain = full
             return config
         except (CenterOnConic, IdentityMap, InvalidConfiguration):
             continue

@@ -113,6 +113,18 @@ def line_conic_params(l: ProjLine) -> ParamRoots:
     return _quadratic_params(l2, l1, l0)
 
 
+def _other_root(a, b, c, t: ConicParam) -> ConicParam:
+    """Given a root t of a u^2 + b uv + c v^2, the other one, via Vieta on
+    the pair (u : v) of t: (-(b v + a u) : a v), or (c u : -(b u + c v))
+    at v = 0. A float root keeps the affine -b/a - t, infinity when a = 0."""
+    u, v = t.pair()
+    if isinstance(u, float):
+        return INFINITY if a == 0 else ConicParam(-b / a - u)
+    if v:
+        return ConicParam._from_pair(-(b * v + a * u), a * v)
+    return ConicParam._from_pair(c * u, -(b * u + c * v))
+
+
 def second_intersection(l: ProjLine, s: ConicParam) -> ConicParam:
     """The other parameter of l on the conic, via Vieta; equals s iff tangent.
 
@@ -122,14 +134,7 @@ def second_intersection(l: ProjLine, s: ConicParam) -> ConicParam:
     if not incident(l, veronese(s)):
         raise NotIncident(f"{s!r} is not an intersection parameter of {l!r}")
     l0, l1, l2 = l.coords
-    if s.is_infinite:
-        # incidence at infinity forces l2 = 0
-        if l1 == 0:
-            return INFINITY
-        return ConicParam(_quotient(-l0, l1))
-    if l2 == 0:
-        return INFINITY
-    return ConicParam(_quotient(-l1, l2) - s.value)
+    return _other_root(l2, l1, l0, s)
 
 
 def tangents_from(p: ProjPoint) -> ParamRoots:
@@ -153,11 +158,4 @@ def other_tangent_param(p: ProjPoint, t_in: ConicParam) -> ConicParam:
     if not incident(tangent_at(t_in), p):
         raise NotIncident(f"tangent at {t_in!r} does not pass through {p!r}")
     x0, x1, x2 = p.coords
-    if t_in.is_infinite:
-        # infinity is a root, so the leading coefficient x0 vanishes
-        if x1 == 0:
-            return INFINITY
-        return ConicParam(_quotient(x2, 2 * x1))
-    if x0 == 0:
-        return INFINITY
-    return ConicParam(_quotient(2 * x1, x0) - t_in.value)
+    return _other_root(x0, -2 * x1, x2, t_in)

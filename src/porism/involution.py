@@ -221,12 +221,8 @@ def moebius_check(xs: Sequence[ConicParam], ys: Sequence[ConicParam]) -> Moebius
     except (EqualParameters, CoincidentLines) as exc:
         raise DegenerateConstruction(str(exc)) from exc
     points = tuple(points)
-    if n == 3:
-        return MoebiusReport(points, True, collinear(points))
-    hypothesis = collinear(points[: n - 1])
-    if not hypothesis:
-        return MoebiusReport(points, False, None)
-    return MoebiusReport(points, True, collinear(points))
+    hypothesis = n == 3 or collinear(points[: n - 1])
+    return MoebiusReport(points, hypothesis, collinear(points) if hypothesis else None)
 
 
 class DualMoebiusReport(NamedTuple):
@@ -293,12 +289,9 @@ def dual_moebius_check(ts: Sequence[ConicParam]) -> DualMoebiusReport:
     except (CoincidentLines, CoincidentPoints) as exc:
         raise DegeneratePolygon(str(exc)) from exc
     diagonals = tuple(diagonals)
-    if n == 3:
-        return DualMoebiusReport(diagonals, True, concurrent(diagonals), primal)
-    hypothesis = concurrent(diagonals[: n - 1])
-    if not hypothesis:
-        return DualMoebiusReport(diagonals, False, None, primal)
-    return DualMoebiusReport(diagonals, True, concurrent(diagonals), primal)
+    hypothesis = n == 3 or concurrent(diagonals[: n - 1])
+    conclusion = concurrent(diagonals) if hypothesis else None
+    return DualMoebiusReport(diagonals, hypothesis, conclusion, primal)
 
 
 def closing_center_locus(chain: InvolutionChain) -> ProjLine:

@@ -55,37 +55,44 @@ from .fields import (
 )
 
 
+# the entry types of each backend, for _normalize's dispatch
+_RATIONAL = frozenset((int, Fraction))
+_EXACT = frozenset((int, Fraction, QuadExt))
+_FLOAT = frozenset((int, float))
+
+
 def _normalize(coords: tuple) -> tuple:
     """Canonical representative of a projective coordinate tuple, as
     (coords, kind, d, pairs); d and pairs are None unless an entry lies in
-    an extension.
+    an extension. One dispatch on the set of entry types decides the
+    backend; plain ints are neutral and adopt the backend of the others.
 
-    Exact tuples: the multiple that _exact_canonical picks. Float tuples:
-    divide by the largest magnitude and make the first significant entry
-    positive. Plain ints are neutral and adopt the backend of the other
-    entries (exact when alone, and kept as ints).
+    Ints and Fractions: the primitive integer tuple, in plain ints, with a
+    positive leading entry. Entries in Q(sqrt d): the multiple whose leading
+    entry is a positive rational and whose components over sqrt(d) are
+    coprime integers, over the d of the first extension entry
+    (_pair_canonical); its rational entries come out as ints. Ints and
+    floats: divide by the largest magnitude and make the first significant
+    entry positive.
     """
-    kinds = set()
-    d = None
-    for c in coords:
-        if isinstance(c, bool):
-            raise TypeError("bool is not a scalar")
-        if isinstance(c, int):
-            continue
-        if isinstance(c, float):
-            kinds.add("float")
-        elif isinstance(c, Fraction):
-            kinds.add("exact")
-        elif isinstance(c, QuadExt):
-            kinds.add("exact")
-            d = d or c.d
-        else:
-            raise TypeError(f"not a scalar coordinate: {c!r}")
-    if len(kinds) > 1:
-        raise MixedBackend("mixed coordinate backends in one tuple")
-    kind = kinds.pop() if kinds else "exact"
-    if kind == "float":
-        coords = tuple(float(c) if isinstance(c, int) else c for c in coords)
+    types = set(map(type, coords))
+    if types <= _RATIONAL:
+        ints = coords
+        if Fraction in types:
+            scale = math.lcm(*(c.denominator for c in coords))
+            ints = [c.numerator * (scale // c.denominator) for c in coords]
+        if not any(ints):
+            raise DegenerateTuple("zero is not a projective coordinate tuple")
+        content = math.gcd(*ints)
+        if next(i for i in ints if i) < 0:
+            content = -content
+        return tuple(i // content for i in ints), "exact", None, None
+    if types <= _EXACT:
+        d = next(c.d for c in coords if type(c) is QuadExt)
+        canon, d, pairs = _pair_canonical(_to_pairs(coords, d), d)
+        return canon, "exact", d, pairs
+    if types <= _FLOAT:
+        coords = tuple(map(float, coords))
         if any(math.isnan(c) or math.isinf(c) for c in coords):
             raise DegenerateTuple(f"bad float coordinate triple: {coords!r}")
         top = max(abs(c) for c in coords)
@@ -95,39 +102,13 @@ def _normalize(coords: tuple) -> tuple:
         lead = next(c for c in scaled if abs(c) > 1e-12)
         if lead < 0:
             scaled = tuple(-c for c in scaled)
-        return scaled, kind, None, None
-
-    if d is None:
-        if not any(coords):
-            raise DegenerateTuple("zero is not a projective coordinate tuple")
-        return _exact_canonical(coords), kind, None, None
-    canon, d, pairs = _pair_canonical(_to_pairs(coords, d), d)
-    return canon, kind, d, pairs
-
-
-def _exact_canonical(coords: tuple) -> tuple:
-    """The canonical multiple of a nonzero tuple of exact scalars: the
-    multiple whose leading entry is a positive rational and whose entries
-    have coprime integer components. Shared by projective triples and
-    Mobius matrices.
-
-    A tuple of ints and Fractions comes out as the primitive integer tuple,
-    in plain ints, with a positive leading entry, which is computed over the
-    integers directly. A tuple with extension entries goes through its
-    integer pairs over the d of its first extension entry
-    (_pair_canonical); its rational entries come out as ints too."""
-    if all(type(c) is int for c in coords):
-        ints = coords
-    elif not any(isinstance(c, QuadExt) for c in coords):
-        scale = math.lcm(*(c.denominator for c in coords))
-        ints = [c.numerator * (scale // c.denominator) for c in coords]
-    else:
-        d = next(c.d for c in coords if isinstance(c, QuadExt))
-        return _pair_canonical(_to_pairs(coords, d), d)[0]
-    content = math.gcd(*ints)
-    if next(i for i in ints if i) < 0:
-        content = -content
-    return tuple(i // content for i in ints)
+        return scaled, "float", None, None
+    for c in coords:
+        if type(c) is bool:
+            raise TypeError("bool is not a scalar")
+        if type(c) not in _EXACT | _FLOAT:
+            raise TypeError(f"not a scalar coordinate: {c!r}")
+    raise MixedBackend("mixed coordinate backends in one tuple")
 
 
 def _radicand(d: Fraction) -> int:

@@ -72,8 +72,22 @@ def test_porism_float_backend(tmp_path, capsys):
 
 
 def test_porism_missing_file(tmp_path, capsys):
-    assert main(["porism", str(tmp_path / "absent.scene")]) == 2
-    assert "error:" in capsys.readouterr().err
+    scene = _x0_scene_path(tmp_path)
+    for argv in (
+        ["porism", str(tmp_path / "absent.scene")],
+        ["porism", os.path.join(scene, "z")],
+        ["plot", scene, "--out", os.path.join(scene, "x.svg")],
+    ):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("starts", ["0", "-1"])
+def test_porism_without_starts(tmp_path, capsys, backend, starts):
+    path = _x0_scene_path(tmp_path)
+    assert main(["porism", path, "--starts", starts, "--backend", backend]) == 0
+    assert "chains closed: 0/0" in capsys.readouterr().out
 
 
 def test_porism_bad_scene(tmp_path, capsys):
@@ -94,6 +108,20 @@ def test_construct_then_porism(tmp_path, capsys, n):
     assert main(["porism", path, "--starts", "4"]) == 0
     out = capsys.readouterr().out
     assert "porism_holds=true" in out
+
+
+def test_construct_without_an_admissible_start_fails(tmp_path, capsys, monkeypatch):
+    from porism import closure
+    from porism.errors import DegenerateStart
+
+    def no_chain(config, start):
+        raise DegenerateStart("no admissible start")
+
+    monkeypatch.setattr(closure, "dual_chain", no_chain)
+    path = tmp_path / "none.scene"
+    assert main(["construct", "3", "--seed", "1", "--out", str(path)]) == 1
+    assert "could not sample an admissible start" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_construct_deterministic(tmp_path):
@@ -292,6 +320,9 @@ def test_twolines_usage_errors(capsys):
     assert "needs --x" in capsys.readouterr().err
     assert main(["twolines", "--mode", "roots", "--n", "1"]) == 2
     assert main(["twolines", "--mode", "check", "--n", "3", "--x", "x+1"]) == 2
+    capsys.readouterr()
+    assert main(["twolines", "--mode", "check", "--n", "3", "--x", "1/0"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_plot_deterministic(tmp_path, capsys):

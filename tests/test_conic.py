@@ -223,6 +223,27 @@ def test_other_tangent_param_vieta(p, t):
     assert set(tangents_from(p).params) == {t, other}
 
 
+float_coeffs = st.tuples(
+    st.floats(0.25, 4.0) | st.floats(-4.0, -0.25),
+    st.floats(-4.0, 4.0),
+    st.floats(-4.0, 4.0),
+).filter(lambda c: c[1] * c[1] - 4 * c[0] * c[2] >= 0.01)
+
+
+@given(float_coeffs)
+def test_float_vieta_keeps_the_affine_formula(coeffs):
+    """Float roots keep -b/a - t bit for bit, not the homogeneous pair."""
+    a, b, c = coeffs
+    l = ProjLine(c, b, a)
+    l0, l1, l2 = l.coords
+    for s in line_conic_params(l).params:
+        assert second_intersection(l, s).value == -l1 / l2 - s.value
+    p = ProjPoint(a, -b / 2, c)
+    x0, x1, _ = p.coords
+    for t in tangents_from(p).params:
+        assert other_tangent_param(p, t).value == 2 * x1 / x0 - t.value
+
+
 def test_other_tangent_param_requires_incidence():
     with pytest.raises(NotIncident):
         other_tangent_param(ProjPoint(5, 1, 7), ConicParam(Fraction(0)))

@@ -33,7 +33,7 @@ from porism.plane import (
     mobius_compose,
     point_on_line,
 )
-from porism.plane import _exact_canonical
+from porism.plane import _normalize
 
 fractions = st.fractions(min_value=-40, max_value=40, max_denominator=10)
 params = st.builds(ConicParam, fractions)
@@ -61,6 +61,15 @@ def test_backend_kinds():
             ProjPoint(*bad)
     with pytest.raises(ValueError):
         ProjPoint(float("nan"), 1.0, 0.0)
+    for bad in ((True, 0, 1), (1, "2", 3), (Fraction(1), 2, "3")):
+        with pytest.raises(TypeError):
+            ProjPoint(*bad)
+    with pytest.raises(MixedBackend):
+        ProjPoint(QuadExt(0, 1, 2), 1.0, 0)
+    # ints and Fractions clear denominators into one primitive int triple
+    point = ProjPoint(1, Fraction(1, 2), 3)
+    assert point.coords == (2, 1, 6)
+    assert all(type(c) is int for c in point.coords)
 
 
 def test_join_meet_frozen():
@@ -141,7 +150,7 @@ def test_float_conic_params_are_unhashable():
 
 
 def _canonical_by_lead(coords):
-    """_exact_canonical's definition: divide by the first nonzero entry, then
+    """The canonical form's definition: divide by the first nonzero entry, then
     clear denominators and numerator content."""
     lead = next(c for c in coords if c != 0)
     scaled = [c / lead for c in coords]
@@ -159,7 +168,7 @@ def _canonical_by_lead(coords):
     ).filter(any)
 )
 def test_integer_canonical_form_matches_its_definition(coords):
-    canon = _exact_canonical(tuple(coords))
+    canon = _normalize(tuple(coords))[0]
     assert canon == _canonical_by_lead(coords)
     assert all(type(c) is int for c in canon)
 
@@ -215,7 +224,7 @@ def extension_tuples(draw):
 
 @given(extension_tuples(), st.sampled_from([2, 3, Fraction(1, 2)]), st.data())
 def test_pair_canonical_form_matches_its_definition(coords, k, data):
-    canon = _exact_canonical(coords)
+    canon = _normalize(coords)[0]
     assert _components(canon) == _components(_extension_canonical_by_lead(coords))
     assert all(type(c) is int for c in canon if not isinstance(c, QuadExt))
     # an entry written over d k^2 is read over the first extension entry's d
@@ -225,7 +234,7 @@ def test_pair_canonical_form_matches_its_definition(coords, k, data):
     mixed[i] = _written_over(coords[i], coords[i].d * k * k)
     d = next(c.d for c in mixed if isinstance(c, QuadExt))
     expected = _extension_canonical_by_lead([_written_over(c, d) for c in mixed])
-    assert _components(_exact_canonical(tuple(mixed))) == _components(expected)
+    assert _components(_normalize(tuple(mixed))[0]) == _components(expected)
 
 
 def test_mobius_map_classes():
