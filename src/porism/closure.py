@@ -452,50 +452,76 @@ def _random_point(rng: random.Random, span: int = 9) -> ProjPoint:
             return ProjPoint(*coords)
 
 
+def _admit(line: ProjLine, gathered: set) -> bool:
+    """Whether line may join the lines whose conic parameters gathered holds,
+    adding its parameters if so: it is not tangent, and its two parameters
+    avoid every gathered one (so it repeats no line). Validity is pairwise,
+    so lines admitted one at a time make a valid configuration."""
+    roots = line_conic_params(line)
+    if roots.double or not gathered.isdisjoint(roots.params):
+        return False
+    gathered.update(roots.params)
+    return True
+
+
 def generate_closing(n: int, seed: int, max_tries: int = 400) -> LineConfiguration:
     """A valid n-line configuration for which the porism holds, built by
-    sampling n - 1 poles and completing with a point of the closing locus."""
+    sampling n - 1 poles and completing with a point of the closing locus.
+
+    A pole whose polar _admit rejects is redrawn alone, and a failed
+    completion starts a fresh candidate; max_tries bounds these rejected
+    draws, and the max_tries-th raises GenerationExhausted."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
+    members, gathered = [], set()
     for _ in range(max_tries):
-        try:
-            involutions = [fregier(_random_point(rng)) for _ in range(n - 1)]
-            chain = InvolutionChain(involutions)
-            locus = closing_center_locus(chain)
-            last_center = point_on_line(locus, ConicParam(_random_fraction(rng)))
-            full = chain.extended(fregier(last_center))
+        while len(members) < n - 1:
+            center = _random_point(rng)
+            if not _admit(polar(center), gathered):
+                break
+            members.append(fregier(center))
+        else:
+            chain, admitted = InvolutionChain(members), gathered
+            # whatever the completion gives, the next draw starts a fresh
+            # candidate, so that a degenerate locus cannot trap the loop
+            members, gathered = [], set()
+            try:
+                locus = closing_center_locus(chain)
+                center = point_on_line(locus, ConicParam(_random_fraction(rng)))
+                full = chain.extended(fregier(center))
+            except (CenterOnConic, IdentityMap):
+                continue
             # the last center lies on the locus, so the product has trace
             # zero: an involution unless it is the identity
-            if not is_involution(full.product):
-                continue
-            config = LineConfiguration([polar(f.center) for f in full.members])
-            if not config.report.valid:
-                continue
-            # the pole of each polar is its center, so full is the
-            # configuration's pole-involution chain
-            config._chain = full
-            return config
-        except (CenterOnConic, IdentityMap, InvalidConfiguration):
-            continue
+            if is_involution(full.product) and _admit(polar(center), admitted):
+                config = LineConfiguration([polar(f.center) for f in full.members])
+                # the pole of each polar is its center, so full is the
+                # configuration's pole-involution chain
+                config._chain = full
+                return config
     raise GenerationExhausted(f"no closing configuration after {max_tries} tries")
 
 
 def random_configuration(n: int, seed: int, max_tries: int = 400) -> LineConfiguration:
     """A valid n-line configuration with unconstrained poles; the porism
     generically fails on these. Validity keeps the poles off the conic: a
-    pole on the conic is the pole of a tangent member."""
+    pole on the conic is the pole of a tangent member.
+
+    A pole whose polar _admit rejects is redrawn alone; max_tries bounds
+    these rejected draws, and the max_tries-th raises GenerationExhausted."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
+    lines, gathered = [], set()
     for _ in range(max_tries):
-        poles = [_random_point(rng) for _ in range(n)]
-        try:
-            config = LineConfiguration([polar(p) for p in poles])
-        except InvalidConfiguration:  # a repeated line
-            continue
-        if config.report.valid:
-            return config
+        while len(lines) < n:
+            line = polar(_random_point(rng))
+            if not _admit(line, gathered):
+                break
+            lines.append(line)
+        else:
+            return LineConfiguration(lines)
     raise GenerationExhausted(f"no valid configuration after {max_tries} tries")
 
 

@@ -125,13 +125,22 @@ def _other_root(a, b, c, t: ConicParam) -> ConicParam:
     return ConicParam._from_pair(c * u, -(b * u + c * v))
 
 
+def _float_image(x, kind: str):
+    """x, or the float image of a rational x when kind is float: a float
+    quadratic's root at infinity is the exact INFINITY, whose point and
+    tangent are exact."""
+    if kind == "float" and x.kind == "exact" and x._d is None:
+        return type(x)(*(float(c) for c in x.coords))
+    return x
+
+
 def second_intersection(l: ProjLine, s: ConicParam) -> ConicParam:
     """The other parameter of l on the conic, via Vieta; equals s iff tangent.
 
     Stays inside the field generated by l and s, so chains that start in one
     quadratic extension never need a second one.
     """
-    if not incident(l, veronese(s)):
+    if not incident(l, _float_image(veronese(s), l.kind)):
         raise NotIncident(f"{s!r} is not an intersection parameter of {l!r}")
     l0, l1, l2 = l.coords
     return _other_root(l2, l1, l0, s)
@@ -155,7 +164,7 @@ def other_tangent_param(p: ProjPoint, t_in: ConicParam) -> ConicParam:
     This is the workhorse of primal chains: it never leaves the field of the
     inputs, unlike tangents_from which may need a square root.
     """
-    if not incident(tangent_at(t_in), p):
+    if not incident(_float_image(tangent_at(t_in), p.kind), p):
         raise NotIncident(f"tangent at {t_in!r} does not pass through {p!r}")
     x0, x1, x2 = p.coords
     return _other_root(x0, -2 * x1, x2, t_in)

@@ -110,6 +110,13 @@ def test_construct_then_porism(tmp_path, capsys, n):
     assert "porism_holds=true" in out
 
 
+def test_construct_then_porism_at_n_128(tmp_path, capsys):
+    path = str(tmp_path / "big.scene")
+    assert main(["construct", "128", "--seed", "0", "--out", path]) == 0
+    assert main(["porism", path]) == 0
+    assert "chains closed: 20/20 (exact backend)" in capsys.readouterr().out
+
+
 def test_construct_without_an_admissible_start_fails(tmp_path, capsys, monkeypatch):
     from porism import closure
     from porism.errors import DegenerateStart

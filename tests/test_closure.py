@@ -1,4 +1,5 @@
 """Line configurations, chain walks, the porism test, two-line criterion."""
+import hashlib
 import random
 from fractions import Fraction
 
@@ -313,7 +314,7 @@ def test_large_n_closing_and_random_configurations(seed):
     config = generate_closing(n, seed)
     assert config.n == n and config.report.valid
     assert porism_holds(config)
-    # line coefficients grow linearly in n: 208-251 bits at n = 64, seeds 0-2
+    # line coefficients grow linearly in n: 225-259 bits at n = 64, seeds 0-2
     bits = max(abs(c.numerator).bit_length() for l in config.lines for c in l.coords)
     assert bits <= 6 * n
     rng = random.Random(seed)
@@ -325,6 +326,45 @@ def test_large_n_closing_and_random_configurations(seed):
         break
     assert chain.closed and well_inscribed(chain, config)
     assert not porism_holds(random_configuration(n, seed))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(16, 128), st.integers(0, 2**32))
+def test_large_n_generators_give_valid_configurations(n, seed):
+    closing, opened = generate_closing(n, seed), random_configuration(n, seed)
+    assert closing.n == opened.n == n
+    assert closing.report.valid and opened.report.valid
+    assert porism_holds(LineConfiguration(closing.lines))
+    # at most 4.44 n bits over n in [16, 128] at 240 sampled (n, seed) pairs
+    bits = max(abs(c).bit_length() for l in closing.lines for c in l.coords)
+    assert bits <= 6 * n
+
+
+def test_generate_closing_at_n_128():
+    # a whole-candidate redraw exhausted 400 tries here
+    config = generate_closing(128, 0)
+    assert config.report.valid and porism_holds(LineConfiguration(config.lines))
+
+
+# outputs that a generator accepting its first candidate gives, so redrawing
+# one pole at a time must not change them
+GENERATOR_DIGESTS = {
+    (generate_closing, 32, 2): "deda1dea6609a5c876f6ad985f66851262c868122d94b710dc911a9529d2ad59",
+    (random_configuration, 32, 2): "5a5d61d22424f9f8436526657025b9cdc19f5108d501599554a526920d660e80",
+    (generate_closing, 32, 4): "d5a956c0d5261c48bdb091d83e848e03e05e5ff8b37bc11b0843850f899f2568",
+    (random_configuration, 32, 4): "e3f114eda04c656cc929abc1c8dc0822bee588a0822f4fe49251c830abc9706d",
+    (generate_closing, 32, 14): "dce141eb4a15f4fcf2ad40c6830dabc1a31873cacdaff2f1630ca5fc27b8f031",
+    (random_configuration, 32, 14): "6bf2334f38f6e3ac61b1684f4fd9283373e7cd1b879d43fad63f8341e1c6c1e8",
+    (generate_closing, 16, 8): "4903c601681191ecefad76737542f26aca1121c21334adec3af9c1e0dc3ea1c9",
+}
+
+
+@pytest.mark.parametrize(
+    "generator, n, seed", list(GENERATOR_DIGESTS), ids=lambda x: getattr(x, "__name__", x)
+)
+def test_generator_outputs_frozen(generator, n, seed):
+    digest = hashlib.sha256(repr(generator(n, seed).lines).encode()).hexdigest()
+    assert digest == GENERATOR_DIGESTS[generator, n, seed]
 
 
 def test_random_configuration_generically_open():

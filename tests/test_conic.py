@@ -244,6 +244,17 @@ def test_float_vieta_keeps_the_affine_formula(coeffs):
         assert other_tangent_param(p, t).value == 2 * x1 / x0 - t.value
 
 
+def test_float_roots_at_infinity_map_back():
+    # the root at infinity of a float quadratic is the exact INFINITY
+    l, p = ProjLine(1.0, 2.0, 0.0), ProjPoint(0.0, 1.0, 3.0)
+    assert line_conic_params(l).params == (INFINITY, ConicParam(-0.5))
+    assert second_intersection(l, INFINITY) == ConicParam(-0.5)
+    assert second_intersection(l, ConicParam(-0.5)) == INFINITY
+    assert tangents_from(p).params == (INFINITY, ConicParam(1.5))
+    assert other_tangent_param(p, INFINITY) == ConicParam(1.5)
+    assert other_tangent_param(p, ConicParam(1.5)) == INFINITY
+
+
 def test_other_tangent_param_requires_incidence():
     with pytest.raises(NotIncident):
         other_tangent_param(ProjPoint(5, 1, 7), ConicParam(Fraction(0)))
