@@ -13,7 +13,6 @@ and edges tangent to the conic.
 """
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -49,7 +48,6 @@ from .errors import (
 from .fields import QuadExt, Scalar, _ext
 from .involution import InvolutionChain, closing_center_locus, fregier
 from .plane import (
-    INFINITY,
     ConicParam,
     ProjLine,
     ProjPoint,
@@ -276,35 +274,33 @@ def _tangent_walk(
 def _exact_walk(
     lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], t: ConicParam
 ) -> tuple[list[ProjPoint], list[ConicParam]]:
-    """_tangent_walk over Q(sqrt d), the field of the first tangent (or of
-    the start or a line, or Q itself as d = 0), on integer pairs over
-    sqrt(D) (plane._to_pairs). The edge parameter is the homogeneous pair
+    """_tangent_walk over Q(sqrt D), the field of the first tangent (or of
+    the start or a line, or Q itself as D = 0), on integer pairs over
+    sqrt(D). The edge parameter is the homogeneous pair
     (U : V) = (u0 + u1 sqrt(D) : v), its tangent line (U^2 : -2UV : V^2),
     and the other tangent from a vertex x, by Vieta on
     x0 t^2 - 2 x1 t + x2, is (2 x1 V - x0 U : x0 V), or (x2 : 2 x1) after
     t = infinity. Each vertex and parameter is built once as a public value."""
     u, _ = t.pair()
     if isinstance(u, QuadExt):
-        d = u.d
+        D = u._D
     else:
-        d = start._d or next((l._d for l in lines if l._d), Fraction(0))
-    q = d.denominator
-    big_d = d.numerator * q
-    line_pairs = [_pairs_over(l, d) for l in lines]
-    (u0, u1), (v, _) = _to_pairs(t.pair(), d)
+        D = start._D or next((l._D for l in lines if l._D), 0)
+    line_pairs = [_pairs_over(l, D) for l in lines]
+    (u0, u1), (v, _) = _to_pairs(t.pair())
     vertices = [start]
     edge_params = [t]
     for step, target in enumerate(targets):
         tangent = (
-            (u0 * u0 + u1 * u1 * big_d, 2 * u0 * u1),
+            (u0 * u0 + u1 * u1 * D, 2 * u0 * u1),
             (-2 * u0 * v, -2 * u1 * v),
             (v * v, 0),
         )
-        meet_pairs = _pair_cross(tangent, line_pairs[target], big_d)
+        meet_pairs = _pair_cross(tangent, line_pairs[target], D)
         if not any(a or b for a, b in meet_pairs):
-            tangent_line = ProjLine._from_pairs(tangent, d)
+            tangent_line = ProjLine._from_pairs(tangent, D)
             raise CoincidentLines(f"meet of {tangent_line!r} with itself")
-        vertex = ProjPoint._from_pairs(meet_pairs, d)
+        vertex = ProjPoint._from_pairs(meet_pairs, D)
         if vertex == vertices[-1]:
             raise DegenerateStart(f"stalled at {vertex!r}")
         if on_conic(vertex):
@@ -312,27 +308,28 @@ def _exact_walk(
         vertices.append(vertex)
         if step == len(targets) - 1:
             break
-        x = _pairs_over(vertex, d)
-        if any(_pair_dot(tangent, x, big_d)):
+        x = _pairs_over(vertex, D)
+        if any(_pair_dot(tangent, x, D)):
             raise NotIncident(f"tangent at {t!r} does not pass through {vertex!r}")
         (x0, y0), (x1, y1), (x2, y2) = x
         if v:
-            ua = 2 * x1 * v - x0 * u0 - y0 * u1 * big_d
+            ua = 2 * x1 * v - x0 * u0 - y0 * u1 * D
             ub = 2 * y1 * v - x0 * u1 - y0 * u0
             va, vb = x0 * v, y0 * v
         else:
             ua, ub, va, vb = x2, y2, 2 * x1, 2 * y1
-        # times the conjugate of V, which makes V rational
-        u0 = ua * va - ub * vb * big_d
+        # times the conjugate of V, which makes V rational; a rational or
+        # infinite parameter has u1 = 0
+        u0 = ua * va - ub * vb * D
         u1 = ub * va - ua * vb
-        v = va * va - vb * vb * big_d
-        if v:
-            content = math.gcd(u0, u1, v)
-            u0, u1, v = u0 // content, u1 // content, v // content
-            t = ConicParam(_ext(Fraction(u0, v), Fraction(u1 * q, v), d))
+        v = va * va - vb * vb * D
+        if u1:
+            value = _ext(u0, u1, v, D)
+            t = ConicParam(value)
+            u0, u1, v = value._a, value._b, value._c
         else:
-            u0, u1 = 1, 0
-            t = INFINITY
+            t = ConicParam._from_pair(u0, v)
+            u0, v = t.pair()
         edge_params.append(t)
     return vertices, edge_params
 

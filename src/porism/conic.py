@@ -129,7 +129,7 @@ def _float_image(x, kind: str):
     """x, or the float image of a rational x when kind is float: a float
     quadratic's root at infinity is the exact INFINITY, whose point and
     tangent are exact."""
-    if kind == "float" and x.kind == "exact" and x._d is None:
+    if kind == "float" and x.kind == "exact" and x._pairs is None:
         return type(x)(*(float(c) for c in x.coords))
     return x
 

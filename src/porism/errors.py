@@ -10,7 +10,10 @@ an empty chain, parameter lists of the wrong length, fewer than 8 samples,
 no trials), a bad `branch` or chain mode, repeated centers handed to
 aligned_centers_involutive, and misuse of a scalar (QuadExt() of a
 rational value or over a square d, the order or float image of an
-imaginary extension). Non-scalar arguments raise TypeError.
+imaginary extension). A QuadExt is the integers (a + b sqrt(D))/c over one
+integer radicand D, and a triple keeps its extension entries as pairs over
+that D: entries or operands over two radicands raise MixedBackend.
+Non-scalar arguments raise TypeError.
 """
 
 
@@ -19,7 +22,8 @@ class GeometryError(Exception):
 
 
 class MixedBackend(GeometryError, TypeError):
-    """Exact and float scalars (or incompatible extension fields) mixed in one expression."""
+    """Exact and float scalars, incompatible extension fields, or two radicands
+    of one triple or incidence, mixed in one expression."""
 
 
 class FieldInsufficient(GeometryError):

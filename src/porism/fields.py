@@ -4,6 +4,13 @@ Exact values are `fractions.Fraction` or `QuadExt`; floats exist only for the
 primal chain walker and plotting. Mixing exact and float scalars in one
 expression raises MixedBackend; rationals embed into any extension.
 
+A `QuadExt` is four ints (a, b, c, D), the value (a + b*sqrt(D))/c with D a
+non-square integer, b != 0, c > 0 and gcd(a, b, c) = 1: the integral
+representation of quadratic-field elements (H. Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, ch. 5). Each arithmetic
+result is reduced by one gcd and builds no Fraction. The extension triples of
+`plane` hold the same integers, as pairs (a, b) over one D with c = 1.
+
 Every square root needed downstream (tangents from a point, fixed points of an
 involution) introduces at most one quadratic extension at a time, and the
 conjugate root stays inside it, so a single Q(sqrt(d)) per chain suffices.
@@ -33,14 +40,6 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _signed_square(b: Fraction, d: Fraction) -> tuple[int, int]:
-    # b*sqrt(d) is determined exactly by sign(b) * b^2 * d, used for equality
-    # across different d generating the same field: an unreduced numerator
-    # and denominator, compared by cross-multiplication over the integers
-    p, q = b.numerator, b.denominator
-    return p * abs(p) * d.numerator, q * q * d.denominator
-
-
 def _quotient(num, den) -> Scalar:
     """num / den, exact when both are ints: rational coordinates are plain
     ints, and int / int would leak a float."""
@@ -49,124 +48,136 @@ def _quotient(num, den) -> Scalar:
     return num / den
 
 
-def _ext(a: Fraction, b: Fraction, d: Fraction) -> Fraction | QuadExt:
-    """a + b*sqrt(d) for Fraction components and a d already known to be a
-    non-square, demoted to a when b = 0: the constructor of arithmetic
-    results, which skips the checks of QuadExt()."""
+def _ext(a: int, b: int, c: int, D: int) -> Fraction | QuadExt:
+    """(a + b*sqrt(D))/c for ints with c != 0 and D known to be a
+    non-square, reduced by one gcd to c > 0 and demoted to a Fraction when
+    b = 0: the constructor of arithmetic results, which skips the checks of
+    QuadExt()."""
     if not b:
-        return a
+        return Fraction(a, c)
+    g = math.gcd(a, b, c)
+    if c < 0:
+        g = -g
     x = object.__new__(QuadExt)
-    x.a = a
-    x.b = b
-    x.d = d
+    x._a, x._b, x._c, x._D = a // g, b // g, c // g, D
     return x
 
 
-class QuadExt:
-    """Element a + b*sqrt(d) of a quadratic extension of Q.
+def _sum(x: tuple, y: tuple, D: int) -> Fraction | QuadExt:
+    (a, b, c), (e, f, g) = x, y
+    return _ext(a * g + e * c, b * g + f * c, c * g, D)
 
-    d is a non-square rational (possibly negative), b is nonzero; values with
-    b = 0 demote to Fraction via the `quadext` factory. Instances are treated
-    as immutable.
+
+def _difference(x: tuple, y: tuple, D: int) -> Fraction | QuadExt:
+    (a, b, c), (e, f, g) = x, y
+    return _ext(a * g - e * c, b * g - f * c, c * g, D)
+
+
+def _product(x: tuple, y: tuple, D: int) -> Fraction | QuadExt:
+    (a, b, c), (e, f, g) = x, y
+    return _ext(a * e + b * f * D, a * f + b * e, c * g, D)
+
+
+def _ratio(x: tuple, y: tuple, D: int) -> Fraction | QuadExt:
+    # times the conjugate of y, whose norm e^2 - f^2 D is nonzero for every
+    # nonzero y (D a non-square)
+    (a, b, c), (e, f, g) = x, y
+    n = e * e - f * f * D
+    if not n:
+        raise ZeroDivisionError("division by zero")
+    return _ext(g * (a * e - b * f * D), g * (b * e - a * f), c * n, D)
+
+
+def _operator(kernel, reflected: bool = False):
+    """The QuadExt operator of a kernel on (a, b, c) int triples over
+    sqrt(D): the other operand is read over the element's own radicand;
+    floats and other fields raise MixedBackend."""
+
+    def op(self, other):
+        y = self._split(other)
+        if y is None:
+            if isinstance(other, float):
+                raise MixedBackend("exact extension element mixed with float")
+            if isinstance(other, QuadExt):
+                raise MixedBackend(
+                    f"incompatible extensions Q(sqrt({self._D})) and Q(sqrt({other._D}))"
+                )
+            return NotImplemented
+        x = (self._a, self._b, self._c)
+        return kernel(y, x, self._D) if reflected else kernel(x, y, self._D)
+
+    return op
+
+
+class QuadExt:
+    """Element (a + b*sqrt(D))/c of a quadratic extension of Q, as four ints.
+
+    D is a non-square integer (possibly negative), b != 0, c > 0 and
+    gcd(a, b, c) = 1. QuadExt(a, b, d) takes rationals and means
+    a + b*sqrt(d); a rational d = p/q is held over D = p*q, as
+    sqrt(p/q) = sqrt(p*q)/q. The properties `.a`, `.b` and `.d` read the
+    element back as Fractions, a + b*sqrt(d) with d = D. Values with b = 0
+    demote to Fraction via the `quadext` factory. Elements of one field
+    written over different radicands (sqrt(8) = 2*sqrt(2)) combine, compare
+    and hash as one value. Instances are treated as immutable.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_a", "_b", "_c", "_D")
 
     def __init__(self, a, b, d):
         a, b, d = Fraction(a), Fraction(b), Fraction(d)
         if b == 0:
             raise ValueError("rational value; use Fraction or the quadext() factory")
-        if d == 0 or rational_sqrt(d) is not None:
+        if rational_sqrt(d) is not None:
             raise ValueError(f"d = {d} is a rational square; the extension is trivial")
-        self.a = a
-        self.b = b
-        self.d = d
+        b /= d.denominator
+        c = math.lcm(a.denominator, b.denominator)
+        self._a = a.numerator * (c // a.denominator)
+        self._b = b.numerator * (c // b.denominator)
+        self._c = c
+        self._D = d.numerator * d.denominator
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._c)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._c)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._D)
 
     # -- field structure ------------------------------------------------
 
-    def _split(self, other) -> tuple[Fraction, Fraction] | None:
-        """`other` as components over self.d, or None if not expressible."""
+    def _split(self, other) -> tuple[int, int, int] | None:
+        """`other` as ints (a, b, c) over sqrt(self._D), or None if not
+        expressible."""
         if isinstance(other, QuadExt):
-            if other.d == self.d:
-                return other.a, other.b
-            ratio = rational_sqrt(other.d / self.d)
-            if ratio is None:
+            D = self._D
+            if other._D == D:
+                return other._a, other._b, other._c
+            # the same field over another radicand: sqrt(D') = (s/|D|) sqrt(D)
+            # with s^2 = D D'
+            prod = D * other._D
+            s = math.isqrt(prod) if prod > 0 else 0
+            if s * s != prod:
                 return None
-            return other.a, other.b * ratio
-        if isinstance(other, int) or isinstance(other, Fraction):
-            return Fraction(other), Fraction(0)
+            return other._a * abs(D), other._b * s, other._c * abs(D)
+        if isinstance(other, (int, Fraction)):
+            return other.numerator, 0, other.denominator
         return None
 
-    def _refuse(self, other):
-        if isinstance(other, float):
-            raise MixedBackend("exact extension element mixed with float")
-        if isinstance(other, QuadExt):
-            raise MixedBackend(
-                f"incompatible extensions Q(sqrt({self.d})) and Q(sqrt({other.d}))"
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return self._refuse(other)
-        oa, ob = parts
-        return _ext(self.a + oa, self.b + ob, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return self._refuse(other)
-        oa, ob = parts
-        return _ext(self.a - oa, self.b - ob, self.d)
-
-    def __rsub__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return self._refuse(other)
-        oa, ob = parts
-        return _ext(oa - self.a, ob - self.b, self.d)
-
-    def __mul__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return self._refuse(other)
-        oa, ob = parts
-        return _ext(
-            self.a * oa + self.b * ob * self.d,
-            self.a * ob + self.b * oa,
-            self.d,
-        )
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _operator(_sum)
+    __sub__ = _operator(_difference)
+    __rsub__ = _operator(_difference, reflected=True)
+    __mul__ = __rmul__ = _operator(_product)
+    __truediv__ = _operator(_ratio)
+    __rtruediv__ = _operator(_ratio, reflected=True)
 
     def inverse(self) -> "QuadExt":
-        # norm = a^2 - b^2 d is nonzero for every nonzero element (d non-square)
-        n = self.norm()
-        return _ext(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return self._refuse(other)
-        oa, ob = parts
-        if ob == 0:
-            if oa == 0:
-                raise ZeroDivisionError("division by zero")
-            return _ext(self.a / oa, self.b / oa, self.d)
-        return self * _ext(oa, ob, self.d).inverse()
-
-    def __rtruediv__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return self._refuse(other)
-        oa, ob = parts
-        inv = self.inverse()
-        if ob == 0:
-            return _ext(oa * inv.a, oa * inv.b, self.d)
-        return _ext(oa, ob, self.d) * inv
+        return _ratio((1, 0, 1), (self._a, self._b, self._c), self._D)
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
@@ -183,58 +194,57 @@ class QuadExt:
         return result
 
     def __neg__(self):
-        return _ext(-self.a, -self.b, self.d)
+        return _ext(-self._a, -self._b, self._c, self._D)
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        if self.d < 0:
+        if self._D < 0:
             raise ValueError("no ordering on an imaginary extension")
-        # the exact sign: with a = 0 or a and b of one sign it is the sign
-        # of b; otherwise the larger of a^2 and b^2 d (never equal, d being
-        # a non-square) decides
-        a, b = self.a, self.b
+        # the exact sign (c > 0): with a = 0 or a and b of one sign it is
+        # the sign of b; otherwise the larger of a^2 and b^2 D (never equal,
+        # D being a non-square) decides
+        a, b = self._a, self._b
         if a == 0 or (a > 0) == (b > 0):
             positive = b > 0
         else:
-            positive = (a > 0) == (a * a > b * b * self.d)
+            positive = (a > 0) == (a * a > b * b * self._D)
         return self if positive else -self
 
     # -- identity --------------------------------------------------------
 
     def conjugate(self) -> "QuadExt":
-        return _ext(self.a, -self.b, self.d)
+        return _ext(self._a, -self._b, self._c, self._D)
 
     def norm(self) -> Fraction:
-        """Field norm a^2 - b^2 d (product with the conjugate)."""
-        return self.a * self.a - self.b * self.b * self.d
+        """Field norm (a^2 - b^2 D)/c^2 (product with the conjugate)."""
+        a, b, c = self._a, self._b, self._c
+        return Fraction(a * a - b * b * self._D, c * c)
 
     def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            if self.a != other.a:
-                return False
-            if self.d == other.d:
-                return self.b == other.b
-            n1, d1 = _signed_square(self.b, self.d)
-            n2, d2 = _signed_square(other.b, other.d)
-            return n1 * d2 == n2 * d1
-        if isinstance(other, (int, Fraction)):
-            return False  # b != 0 always
-        return NotImplemented
+        y = self._split(other)
+        if y is None:
+            return False if isinstance(other, QuadExt) else NotImplemented
+        e, f, g = y
+        return self._a * g == e * self._c and self._b * g == f * self._c
 
     def __hash__(self):
-        # equal elements share a and sign(b) * b^2 * d, whatever d generates
-        # the field
-        return hash((self.a, Fraction(*_signed_square(self.b, self.d))))
+        # equal elements share the reduced a/c and sign(b) b^2 D/c^2,
+        # whatever radicand generates the field
+        a, b, c = self._a, self._b, self._c
+        g = math.gcd(a, c)
+        num, den = b * abs(b) * self._D, c * c
+        h = math.gcd(num, den)
+        return hash((a // g, c // g, num // h, den // h))
 
     def __bool__(self):
-        return True  # a + b*sqrt(d) with b != 0 is never zero
+        return True  # a + b*sqrt(D) with b != 0 is never zero
 
     def __float__(self):
-        if self.d < 0:
+        if self._D < 0:
             raise ValueError("negative discriminant has no real image")
-        return float(self.a) + float(self.b) * math.sqrt(float(self.d))
+        return self._a / self._c + self._b / self._c * math.sqrt(self._D)
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
@@ -251,7 +261,7 @@ def quadext(a, b, d) -> Fraction | QuadExt:
 def sqrt_scalar(x: Scalar) -> Scalar:
     """Exact square root, extending the field by one sqrt when needed.
 
-    Rationals return a Fraction when x is a square, else a QuadExt over d = x.
+    Rationals return a Fraction when x is a square, else a QuadExt.
     QuadExt arguments are resolved inside their own field or raise
     FieldInsufficient. Floats use math.sqrt; negative floats raise
     FieldInsufficient (no real root).
@@ -262,10 +272,10 @@ def sqrt_scalar(x: Scalar) -> Scalar:
         return math.sqrt(x)
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
-        if x == 0:
-            return Fraction(0)
         r = rational_sqrt(x)
-        return r if r is not None else _ext(Fraction(0), Fraction(1), x)
+        if r is not None:
+            return r
+        return _ext(0, 1, x.denominator, x.numerator * x.denominator)  # sqrt(pq)/q
     if isinstance(x, QuadExt):
         return _quadext_sqrt(x)
     raise TypeError(f"not a scalar: {x!r}")
@@ -275,16 +285,16 @@ def _quadext_sqrt(x: QuadExt) -> QuadExt:
     # (p + q sqrt(d))^2 = x requires p^2 = (a ± sqrt(norm))/2 rational square.
     rn = rational_sqrt(x.norm())
     if rn is None:
-        raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({x.d}))")
+        raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({x._D}))")
     for sign in (rn, -rn):
         p2 = (x.a + sign) / 2
         p = rational_sqrt(p2)
         if p is not None and p != 0:
             q = x.b / (2 * p)
-            candidate = _ext(p, q, x.d)
+            candidate = QuadExt(p, q, x._D)
             if candidate * candidate == x:
                 return candidate
-    raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({x.d}))")
+    raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({x._D}))")
 
 
 def scalar_kind(x: Scalar) -> str:

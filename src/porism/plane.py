@@ -17,14 +17,16 @@ Every exact object is one canonical tuple, built by _normalize:
 So the incidence calculus and the Mobius action run over the integers, and
 a Mobius image is its integer pair divided by one gcd.
 
-A triple over Q(sqrt d), d = p/q, also keeps three integer pairs
-((a0, b0), (a1, b1), (a2, b2)) standing for the entries a_i + b_i sqrt(D)
-of a multiple of it, D = p*q the one integer radicand of its field. Its
-canonical form multiplies by the conjugate of the first nonzero entry,
-which makes that entry rational, divides by the gcd of the six ints over
-sqrt(d), and makes the lead positive; `coords` holds those entries as ints
-and QuadExt. Cross and dot products of triples with an extension entry
-run on the pairs.
+A triple over Q(sqrt D) is three integer pairs ((a0, b0), (a1, b1), (a2, b2)),
+its entries a_i + b_i sqrt(D) over the one integer radicand D of its field:
+the integers of fields.QuadExt, with c = 1. Its canonical form multiplies by
+the conjugate of the first nonzero entry, which makes that entry rational,
+divides by the gcd of the six ints and makes the lead positive. The triple
+stores those pairs, and `coords` derives its entries from them, as ints and
+QuadExt. Cross and dot products with an extension triple run on the pairs.
+Entries or operands over two different radicands raise MixedBackend: every
+radicand the package makes is the integer discriminant of one quadratic, so
+no program path mixes them.
 """
 from __future__ import annotations
 
@@ -49,7 +51,6 @@ from .fields import (
     Scalar,
     _ext,
     _quotient,
-    rational_sqrt,
     scalar_kind,
     sqrt_scalar,
 )
@@ -63,15 +64,14 @@ _FLOAT = frozenset((int, float))
 
 def _normalize(coords: tuple) -> tuple:
     """Canonical representative of a projective coordinate tuple, as
-    (coords, kind, d, pairs); d and pairs are None unless an entry lies in
+    (coords, kind, D, pairs); D and pairs are None unless an entry lies in
     an extension. One dispatch on the set of entry types decides the
     backend; plain ints are neutral and adopt the backend of the others.
 
     Ints and Fractions: the primitive integer tuple, in plain ints, with a
-    positive leading entry. Entries in Q(sqrt d): the multiple whose leading
-    entry is a positive rational and whose components over sqrt(d) are
-    coprime integers, over the d of the first extension entry
-    (_pair_canonical); its rational entries come out as ints. Ints and
+    positive leading entry. Entries over one radicand D: the integer pairs
+    of the multiple whose leading entry is a positive rational
+    (_pair_canonical), or its ints if no extension entry is left. Ints and
     floats: divide by the largest magnitude and make the first significant
     entry positive.
     """
@@ -88,9 +88,13 @@ def _normalize(coords: tuple) -> tuple:
             content = -content
         return tuple(i // content for i in ints), "exact", None, None
     if types <= _EXACT:
-        d = next(c.d for c in coords if type(c) is QuadExt)
-        canon, d, pairs = _pair_canonical(_to_pairs(coords, d), d)
-        return canon, "exact", d, pairs
+        radicands = {c._D for c in coords if type(c) is QuadExt}
+        if len(radicands) > 1:
+            raise MixedBackend(f"entries over the radicands {sorted(radicands)}")
+        canon, D, pairs = _pair_canonical(_to_pairs(coords), radicands.pop())
+        if pairs is not None:
+            canon = _entries(pairs, D)
+        return canon, "exact", D, pairs
     if types <= _FLOAT:
         coords = tuple(map(float, coords))
         if any(math.isnan(c) or math.isinf(c) for c in coords):
@@ -111,83 +115,71 @@ def _normalize(coords: tuple) -> tuple:
     raise MixedBackend("mixed coordinate backends in one tuple")
 
 
-def _radicand(d: Fraction) -> int:
-    """The integer D with sqrt(d) = sqrt(D) / q, for d = p/q."""
-    return d.numerator * d.denominator
+def _to_pairs(values) -> tuple:
+    """Integer pairs (a, b), for a + b sqrt(D), of a multiple of exact
+    scalars over one radicand D: one common denominator clears every
+    entry."""
+    parts = [
+        (x._a, x._b, x._c) if type(x) is QuadExt else (x.numerator, 0, x.denominator)
+        for x in values
+    ]
+    scale = math.lcm(*(c for _, _, c in parts))
+    return tuple((a * (scale // c), b * (scale // c)) for a, b, c in parts)
 
 
-def _to_pairs(values, d: Fraction) -> tuple:
-    """Integer pairs over sqrt(D), D = _radicand(d), of a multiple of exact
-    scalars of the field Q(sqrt d): x = a + b sqrt(d) is a + (b/q) sqrt(D),
-    and one common denominator clears every component."""
-    q = d.denominator
-    parts = []
-    for x in values:
-        if isinstance(x, QuadExt):
-            # the same field written over another d: sqrt(x.d) = r sqrt(d)
-            r = Fraction(1) if x.d == d else rational_sqrt(x.d / d)
-            if r is None:
-                raise MixedBackend(
-                    f"incompatible extensions Q(sqrt({d})) and Q(sqrt({x.d}))"
-                )
-            parts.append((x.a, x.b * r / q))
-        else:
-            parts.append((Fraction(x), Fraction(0)))
-    scale = math.lcm(*(c.denominator for pair in parts for c in pair))
-    return tuple(
-        (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-        for a, b in parts
-    )
+def _pair_canonical(pairs: tuple, D: int) -> tuple:
+    """(coords, D, pairs) of the canonical multiple of nonzero integer pairs
+    over sqrt(D): multiply by the conjugate of the first nonzero entry,
+    which makes it rational, divide by the gcd of the components, and make
+    that entry positive. A multiple with an extension entry left returns
+    coords as None; one with none left returns its ints, and D and pairs as
+    None.
 
-
-def _pair_canonical(pairs: tuple, d: Fraction) -> tuple:
-    """(coords, d, pairs) of the canonical multiple of nonzero integer pairs
-    over sqrt(D), D = _radicand(d): multiply by the conjugate of the first
-    nonzero entry, which makes it rational, divide by the gcd of the
-    components over sqrt(d), and make that entry positive. The extension
-    entries of coords are QuadExt over d and its rational entries ints; a
-    multiple with no extension entry left returns d and pairs as None.
-
-    The walks run rational chains over d = 0, where every b is 0."""
-    q = d.denominator
-    big_d = d.numerator * q
+    The walks run rational chains over D = 0, where every b is 0."""
     la, lb = next(x for x in pairs if x[0] or x[1])
     flat = []
     for a, b in pairs:
-        # a + b sqrt(D) = a + b q sqrt(d)
-        flat.append(a * la - b * lb * big_d)
-        flat.append((b * la - a * lb) * q)
+        flat.append(a * la - b * lb * D)
+        flat.append(b * la - a * lb)
     content = math.gcd(*flat)
     if next(x for x in flat if x) < 0:
         content = -content
     ints = [x // content for x in flat]
     if not any(ints[1::2]):
         return tuple(ints[0::2]), None, None
-    coords = []
-    out = []
-    for i in range(0, len(ints), 2):
-        a, b = ints[i], ints[i + 1]
-        coords.append(_ext(Fraction(a), Fraction(b), d) if b else a)
-        out.append((a * q, b))
-    return tuple(coords), d, tuple(out)
+    return None, D, tuple(zip(ints[0::2], ints[1::2]))
+
+
+def _entries(pairs: tuple, D: int) -> tuple:
+    """The entries a + b sqrt(D) of integer pairs: ints, and QuadExt."""
+    return tuple(_ext(a, b, 1, D) if b else a for a, b in pairs)
 
 
 class _ProjTriple:
     """Shared machinery of ProjPoint and ProjLine."""
 
-    __slots__ = ("coords", "kind", "_d", "_pairs")
+    __slots__ = ("_coords", "kind", "_D", "_pairs")
 
     def __init__(self, x0, x1, x2):
-        self.coords, self.kind, self._d, self._pairs = _normalize((x0, x1, x2))
+        coords, self.kind, self._D, self._pairs = _normalize((x0, x1, x2))
+        self._coords = None if self._pairs else coords
 
     @classmethod
-    def _from_pairs(cls, pairs: tuple, d: Fraction):
+    def _from_pairs(cls, pairs: tuple, D: int):
         """The exact triple of a nonzero multiple given by integer pairs
-        over sqrt(_radicand(d)), canonicalized once on the integers."""
+        over sqrt(D), canonicalized once on the integers."""
         obj = object.__new__(cls)
         obj.kind = "exact"
-        obj.coords, obj._d, obj._pairs = _pair_canonical(pairs, d)
+        obj._coords, obj._D, obj._pairs = _pair_canonical(pairs, D)
         return obj
+
+    @property
+    def coords(self) -> tuple:
+        """The canonical entries: ints, floats, or ints and QuadExt derived
+        from the pairs of an extension triple."""
+        if self._pairs is None:
+            return self._coords
+        return _entries(self._pairs, self._D)
 
     def __iter__(self):
         return iter(self.coords)
@@ -201,13 +193,14 @@ class _ProjTriple:
         if self.kind != other.kind:
             return False
         if self.kind == "exact":
-            return self.coords == other.coords
-        return _float_proportional(self.coords, other.coords)
+            return (self._coords == other._coords and self._pairs == other._pairs
+                    and self._D == other._D)
+        return _float_proportional(self._coords, other._coords)
 
     def __hash__(self):
         if self.kind == "float":
             raise TypeError("float-backed projective values are unhashable")
-        return hash((type(self).__name__, self.coords))
+        return hash((type(self).__name__, self._coords, self._pairs))
 
     def __repr__(self):
         body = ":".join(str(c) for c in self.coords)
@@ -234,49 +227,48 @@ class ProjLine(_ProjTriple):
     __slots__ = ()
 
 
-def _pairs_over(t: _ProjTriple, d: Fraction) -> tuple:
-    """The integer pairs of an exact triple over sqrt(_radicand(d)); a
-    rational triple embeds with every b = 0."""
+def _pairs_over(t: _ProjTriple, D: int) -> tuple:
+    """The integer pairs of an exact triple over sqrt(D): a rational triple
+    embeds with every b = 0, and one over another radicand raises
+    MixedBackend."""
     if t._pairs is None:
-        return tuple((c, 0) for c in t.coords)
-    if t._d == d:
-        return t._pairs
-    return _to_pairs(t.coords, d)
+        return tuple((c, 0) for c in t._coords)
+    if t._D != D:
+        raise MixedBackend(f"triples over the radicands {t._D} and {D}")
+    return t._pairs
 
 
-def _pair_cross(u: tuple, v: tuple, big_d: int) -> tuple:
-    """The cross product of two pair triples over sqrt(big_d)."""
+def _pair_cross(u: tuple, v: tuple, D: int) -> tuple:
+    """The cross product of two pair triples over sqrt(D)."""
     (a0, b0), (a1, b1), (a2, b2) = u
     (c0, e0), (c1, e1), (c2, e2) = v
     return (
-        (a1 * c2 - a2 * c1 + (b1 * e2 - b2 * e1) * big_d,
+        (a1 * c2 - a2 * c1 + (b1 * e2 - b2 * e1) * D,
          a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1),
-        (a2 * c0 - a0 * c2 + (b2 * e0 - b0 * e2) * big_d,
+        (a2 * c0 - a0 * c2 + (b2 * e0 - b0 * e2) * D,
          a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2),
-        (a0 * c1 - a1 * c0 + (b0 * e1 - b1 * e0) * big_d,
+        (a0 * c1 - a1 * c0 + (b0 * e1 - b1 * e0) * D,
          a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0),
     )
 
 
-def _pair_dot(u: tuple, v: tuple, big_d: int) -> tuple:
-    """The dot product of two pair triples over sqrt(big_d), as a pair."""
+def _pair_dot(u: tuple, v: tuple, D: int) -> tuple:
+    """The dot product of two pair triples over sqrt(D), as a pair."""
     (a0, b0), (a1, b1), (a2, b2) = u
     (c0, e0), (c1, e1), (c2, e2) = v
     return (
-        a0 * c0 + a1 * c1 + a2 * c2 + (b0 * e0 + b1 * e1 + b2 * e2) * big_d,
+        a0 * c0 + a1 * c1 + a2 * c2 + (b0 * e0 + b1 * e1 + b2 * e2) * D,
         a0 * e0 + b0 * c0 + a1 * e1 + b1 * c1 + a2 * e2 + b2 * c2,
     )
 
 
 def _pairs_quadric_zero(t: _ProjTriple, scale: int) -> bool:
     """Whether scale * c0 * c2 = c1^2 for the entries c_i of an extension
-    triple, on its integer pairs."""
+    triple: the dot product of (scale c0, c1, 0) and (c2, -c1, 0) on its
+    integer pairs."""
     (a0, b0), (a1, b1), (a2, b2) = t._pairs
-    big_d = _radicand(t._d)
-    return (
-        scale * (a0 * a2 + b0 * b2 * big_d) == a1 * a1 + b1 * b1 * big_d
-        and scale * (a0 * b2 + b0 * a2) == 2 * a1 * b1
-    )
+    u = ((scale * a0, scale * b0), (a1, b1), (0, 0))
+    return not any(_pair_dot(u, ((a2, b2), (-a1, -b1), (0, 0)), t._D))
 
 
 def _cross(u: tuple, v: tuple) -> tuple:
@@ -294,11 +286,11 @@ def _dot(u: tuple, v: tuple):
 def _cross_triple(cls, u: _ProjTriple, v: _ProjTriple):
     """The triple of type cls with the cross product of u and v, on their
     integer pairs when either lies in an extension."""
-    d = u._d or v._d
-    if d is None:
-        return cls(*_cross(u.coords, v.coords))
-    pairs = _pair_cross(_pairs_over(u, d), _pairs_over(v, d), _radicand(d))
-    return cls._from_pairs(pairs, d)
+    D = u._D or v._D
+    if D is None:
+        return cls(*_cross(u._coords, v._coords))
+    pairs = _pair_cross(_pairs_over(u, D), _pairs_over(v, D), D)
+    return cls._from_pairs(pairs, D)
 
 
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
@@ -324,10 +316,10 @@ def incident(l: ProjLine, p: ProjPoint) -> bool:
     floats)."""
     if l.kind != p.kind:
         raise MixedBackend("incidence across backends")
-    d = l._d or p._d
-    if d is not None:
-        return not any(_pair_dot(_pairs_over(l, d), _pairs_over(p, d), _radicand(d)))
-    dot = _dot(l.coords, p.coords)
+    D = l._D or p._D
+    if D is not None:
+        return not any(_pair_dot(_pairs_over(l, D), _pairs_over(p, D), D))
+    dot = _dot(l._coords, p._coords)
     if l.kind == "exact":
         return dot == 0
     return abs(dot) <= FLOAT_TOL * 3
@@ -598,8 +590,7 @@ def _quadratic_params(a, b, c) -> ParamRoots:
         if r * r == disc:
             roots = (Fraction(-b + r, 2 * a), Fraction(-b - r, 2 * a))
         else:
-            mid, half, d = Fraction(-b, 2 * a), Fraction(1, 2 * a), Fraction(disc)
-            roots = (_ext(mid, half, d), _ext(mid, -half, d))
+            roots = (_ext(-b, 1, 2 * a, disc), _ext(-b, -1, 2 * a, disc))
     else:
         try:
             root = sqrt_scalar(disc)

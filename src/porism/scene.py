@@ -44,6 +44,8 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {token!r}") from exc
+    except ValueError as exc:  # more digits than the interpreter converts to an int
+        raise ParseError(f"rational token of {len(token)} characters: {exc}") from exc
 
 
 def format_param(t: ConicParam) -> str:
@@ -105,6 +107,8 @@ def serialize(scene: SceneDocument) -> str:
             raise ParseError(f"bad point name {name!r}")
         out.append(f"point {name} {_format_triple(p.coords)}")
     for chain in scene.chains:
+        if not chain:
+            raise ParseError("a chain record needs at least one parameter")
         out.append("chain dual " + " ".join(format_param(t) for t in chain))
     return "\n".join(out) + "\n"
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from porism.algebra import Mat2, is_scalar_multiple_of_identity, mat2_power, pn_polynomial
 from porism.closure import (
     LineConfiguration,
+    _exact_walk,
     _repeats,
     TwoLineSystem,
     concurrent_tangent_chain,
@@ -23,7 +24,7 @@ from porism.closure import (
     validate,
     well_inscribed,
 )
-from porism.conic import chord, conic_form, tangent_at
+from porism.conic import chord, conic_form, tangent_at, tangents_from
 from porism.errors import (
     DegenerateStart,
     FieldInsufficient,
@@ -620,6 +621,20 @@ def test_exact_tangent_walks_frozen():
     assert _frozen_walk(
         pencil.vertices, pencil.edge_params, pencil.closing_tangent
     ) == FROZEN_PENCIL
+
+
+def test_exact_walk_builds_no_fraction(no_fraction_built):
+    # both branches from the starts of the frozen walks, one of them through t = infinity
+    config = LineConfiguration(
+        [ProjLine(3, 4, -10), ProjLine(14, 7, 2), ProjLine(917, 546, -234)]
+    )
+    targets = [i % 3 for i in range(1, 7)]
+    for start in (ProjPoint(10, -5, 1), ProjPoint(0, 5, 2)):
+        for branch, t in zip(("first", "second"), tangents_from(start).params):
+            with no_fraction_built():
+                vertices, params = _exact_walk(config.lines, start, targets, t)
+            chain = primal_chain(config, start, branch)
+            assert (tuple(vertices), tuple(params)) == (chain.vertices, chain.params)
 
 
 def test_two_line_closure_frozen():

@@ -72,6 +72,22 @@ def test_quadext_incompatible_fields_raise():
         QuadExt(0, 1, 2) * 1.5
 
 
+def test_quadext_over_a_rational_radicand_is_held_over_an_integer():
+    # sqrt(1/2) = sqrt(2)/2
+    x, y = QuadExt(1, 1, Fraction(1, 2)), QuadExt(1, Fraction(1, 2), 2)
+    assert x == y and hash(x) == hash(y)
+    assert x.d == 2 and repr(x) == repr(y) == "QuadExt(1, 1/2, d=2)"
+    assert all(type(v) is Fraction for v in (x.a, x.b, x.d))
+
+
+def test_quadext_arithmetic_builds_no_fraction(no_fraction_built):
+    x, y = QuadExt(1, 2, 3), QuadExt(Fraction(1, 2), -3, 3)
+    with no_fraction_built():
+        results = [x + y, x - y, 2 - x, x * y, x * 3, x / y, 3 / x, x / 2, x.inverse()]
+    assert all(isinstance(r, QuadExt) for r in results)
+    assert results[5] * y == x and results[8] * x == Fraction(1)
+
+
 def test_quadext_compatible_generators_combine():
     assert QuadExt(0, 1, 2) + QuadExt(0, 1, 8) == QuadExt(0, 3, 2)
 

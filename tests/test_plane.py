@@ -227,14 +227,37 @@ def test_pair_canonical_form_matches_its_definition(coords, k, data):
     canon = _normalize(coords)[0]
     assert _components(canon) == _components(_extension_canonical_by_lead(coords))
     assert all(type(c) is int for c in canon if not isinstance(c, QuadExt))
-    # an entry written over d k^2 is read over the first extension entry's d
+    # an entry written over d k^2 is held over the integer radicand of
+    # d k^2, which may equal its old one (2/4 = 1/2 is held over 2); entries
+    # over two different radicands raise MixedBackend
     ext = [i for i, c in enumerate(coords) if isinstance(c, QuadExt)]
     i = data.draw(st.sampled_from(ext))
     mixed = list(coords)
     mixed[i] = _written_over(coords[i], coords[i].d * k * k)
-    d = next(c.d for c in mixed if isinstance(c, QuadExt))
-    expected = _extension_canonical_by_lead([_written_over(c, d) for c in mixed])
-    assert _components(_normalize(tuple(mixed))[0]) == _components(expected)
+    if len({c.d for c in mixed if isinstance(c, QuadExt)}) > 1:
+        with pytest.raises(MixedBackend):
+            _normalize(tuple(mixed))
+    else:
+        expected = _extension_canonical_by_lead(mixed)
+        assert _components(_normalize(tuple(mixed))[0]) == _components(expected)
+
+
+def test_two_radicands_raise_mixed_backend():
+    r2, r8 = QuadExt(0, 1, 2), QuadExt(0, 1, 8)
+    with pytest.raises(MixedBackend):
+        ProjPoint(1, r2, r8)
+    p, q = ProjPoint(1, r2, 0), ProjPoint(0, r8, 1)
+    for first, second in ((p, q), (q, p)):
+        with pytest.raises(MixedBackend):
+            join(first, second)
+        with pytest.raises(MixedBackend):
+            meet(ProjLine(*first), ProjLine(*second))
+        with pytest.raises(MixedBackend):
+            incident(ProjLine(*first), second)
+    # one value over two radicands gives two triples, unequal as an exact
+    # and a float triple are
+    assert ProjPoint(2, r8, 0) != ProjPoint(2, 2 * r2, 0)
+    assert ProjPoint(1, 2, 0) != ProjPoint(1.0, 2.0, 0.0)
 
 
 def test_mobius_map_classes():

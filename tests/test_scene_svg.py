@@ -1,4 +1,5 @@
 """Scene text format round-trips and deterministic SVG rendering."""
+import sys
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,61 @@ def test_parse_infinity_param():
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+# the interpreter's limit on digits in an integer string; 0 where there is none
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="integer strings of any length convert")
+@pytest.mark.parametrize("record", ["line 1 0 {}", "point A 1 1/{} 0", "chain dual {} 1"])
+def test_parse_rejects_scalars_beyond_the_digit_limit(record):
+    token = "1" * (_DIGIT_LIMIT + 1)
+    with pytest.raises(ParseError):
+        parse(f"poncelet-scene 1\nconic canonical\n{record.format(token)}\n")
+
+
+_TOKENS = st.sampled_from([
+    "poncelet-scene", "1", "conic", "canonical", "line", "point", "chain", "dual",
+    "inf", "A", "0", "-1", "2/3", "3/0", "-0/5", "1.5", "1e3", "#", "\u0661", "",
+])
+scene_texts = st.one_of(
+    st.text(),
+    st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=6).map(
+        lambda records: "poncelet-scene 1\nconic canonical\n" + "\n".join(records)
+    ),
+)
+
+
+@given(scene_texts)
+def test_parse_raises_only_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+_triples = st.tuples(_rationals, _rationals, _rationals).filter(any)
+_names = st.text(min_size=1, max_size=8).filter(lambda s: not any(c.isspace() for c in s))
+scene_documents = st.builds(
+    SceneDocument,
+    st.lists(_triples.map(lambda c: ProjLine(*c)), max_size=4).map(tuple),
+    st.lists(st.tuples(_names, _triples.map(lambda c: ProjPoint(*c))), max_size=3).map(tuple),
+    st.lists(
+        st.lists(st.one_of(st.just(INFINITY), _rationals.map(ConicParam)), max_size=5).map(tuple),
+        max_size=3,
+    ).map(tuple),
+)
+
+
+@given(scene_documents)
+def test_parse_inverts_serialize(doc):
+    if () in doc.chains:  # "chain dual" alone would not parse
+        with pytest.raises(ParseError):
+            serialize(doc)
+    else:
+        assert parse(serialize(doc)) == doc
 
 
 def test_serialize_rejects_irrational_and_bad_names():
