@@ -9,10 +9,14 @@ for all starts is exactly "that product is again an involution".
 Chains walk the configuration cyclically, twice around: the dual chain pushes
 a conic parameter through u_1, ..., u_n, u_1, ..., u_n; the primal chain
 traces the polar polygon with vertices on L_1, L_2, ..., L_n, L_1, ..., L_n
-and edges tangent to the conic.
+and edges tangent to the conic. Exact walks run on integers over one radicand
+D: a parameter is the key (u0, u1, v) of (u0 + u1 sqrt(D))/v, which each step
+of either walk takes from its homogeneous pair by one conjugate step
+(_conjugate_step) and one gcd; public values are built once, from the keys.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -83,7 +87,7 @@ class LineConfiguration:
     Valid means: no member tangent to the conic, and the 2n intersection
     parameters pairwise distinct (in extension where needed)."""
 
-    __slots__ = ("lines", "_report", "_poles", "_chain", "_forbidden")
+    __slots__ = ("lines", "_report", "_poles", "_chain", "_maps", "_forbidden")
 
     def __init__(self, lines: Sequence[ProjLine]):
         lines = tuple(lines)
@@ -98,7 +102,8 @@ class LineConfiguration:
         self._report: Optional[ValidityReport] = None
         self._poles: Optional[tuple[ProjPoint, ...]] = None
         self._chain: Optional[InvolutionChain] = None
-        self._forbidden: Optional[frozenset[ConicParam]] = None
+        self._maps: Optional[tuple] = None
+        self._forbidden: Optional[dict[int, frozenset[tuple]]] = None
 
     @property
     def n(self) -> int:
@@ -187,35 +192,115 @@ class PolygonChain(NamedTuple):
     steps: int
 
 
+def _conjugate_step(ua: int, ub: int, va: int, vb: int, D: int) -> tuple:
+    """The parameter (ua + ub sqrt(D) : va + vb sqrt(D)) as ints (u0, u1, v)
+    of (u0 + u1 sqrt(D))/v, not reduced: times the conjugate of V, which
+    makes V rational. Infinity (V = 0) is (1, 0, 0), and a rational
+    parameter has u1 = 0."""
+    v = va * va - vb * vb * D
+    if not v:
+        return 1, 0, 0
+    return ua * va - ub * vb * D, ub * va - ua * vb, v
+
+
+def _key_param(key: tuple, D: int) -> ConicParam:
+    """The parameter of a key over sqrt(D)."""
+    u0, u1, v = key
+    return ConicParam(_ext(u0, u1, v, D)) if u1 else ConicParam._from_coprime(u0, v)
+
+
+def _key_of(t: ConicParam, D: int) -> Optional[tuple]:
+    """The key of an exact parameter over sqrt(D), or None when it lies
+    outside Q(sqrt(D)); one written over another radicand of that field is
+    rewritten over D."""
+    u, v = t.pair()
+    if type(u) is int:
+        return u, 0, v
+    if u._D == D:
+        return u._a, u._b, u._c
+    abc = _ext(0, 1, 1, D)._split(u) if D else None
+    if abc is None:
+        return None
+    x = _ext(*abc, D)
+    return x._a, x._b, x._c
+
+
+def _integer_maps(chain: InvolutionChain) -> tuple:
+    """(D, maps): the one radicand of the members' entries (0 when all are
+    rational), and each member [[a, b], [c, -a]] as the five ints
+    (a, b0, b1, c0, c1) of a multiple with b = b0 + b1 sqrt(D), c likewise:
+    a member is an involution, and its canonical lead a is rational."""
+    mats = [f.map.mat for f in chain.members]
+    radicands = {x._D for m in mats for x in (m.b, m.c) if type(x) is QuadExt}
+    if len(radicands) > 1:
+        raise MixedBackend(f"configuration over the radicands {sorted(radicands)}")
+    if not radicands:  # rational maps are integer matrices
+        return 0, tuple((m.a, m.b, 0, m.c, 0) for m in mats)
+    pairs = [_to_pairs((m.a, m.b, m.c)) for m in mats]
+    return radicands.pop(), tuple((a, *b, *c) for (a, _), b, c in pairs)
+
+
 def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
-    """Push a conic parameter through the pole involutions, twice around."""
+    """Push a conic parameter through the pole involutions, twice around.
+
+    The walk runs on integer keys over one radicand D, that of the
+    configuration or else of the start: a rational member map acts on a
+    rational key in plain ints, any other step on integer pairs. The member
+    maps, and per D the keys of the configuration parameters, are read once
+    per configuration; each ConicParam is built once, at the end. A float
+    start or configuration raises MixedBackend."""
+    u = start.pair()[0]
+    if config.kind == "float" or type(u) is float:
+        raise MixedBackend("dual chains walk exact parameters of exact configurations")
     _require_valid(config)
-    chain = pole_involutions(config)
+    if config._maps is None:
+        config._maps = _integer_maps(pole_involutions(config))
+    D, maps = config._maps
+    if not D and type(u) is QuadExt:
+        D = u._D
+    key = _key_of(start, D)
+    if key is None:
+        raise MixedBackend(f"{start!r} lies outside Q(sqrt({D}))")
     if config._forbidden is None:
-        config._forbidden = frozenset(config.report.all_params)
-    forbidden = config._forbidden
-    if start in forbidden:
+        config._forbidden = {}
+    forbidden = config._forbidden.get(D)
+    if forbidden is None:
+        known = (_key_of(t, D) for t in config.report.all_params)
+        forbidden = config._forbidden[D] = frozenset(k for k in known if k)
+    if key in forbidden:
         raise DegenerateStart(f"{start!r} lies on a configuration line")
-    params = [start]
-    seen = {start}
-    current = start
-    total = 2 * config.n
+    n = config.n
+    total = 2 * n
+    keys = [key]
+    seen = {key}
+    u0, u1, v = key
     for step in range(total):
-        nxt = chain.members[step % config.n](current)
-        if nxt == current:
-            raise DegenerateStart(f"{current!r} is fixed by an involution")
+        a, b0, b1, c0, c1 = maps[step % n]
+        if u1 or b1 or c1:
+            p, p1, q = _conjugate_step(
+                a * u0 + b0 * v, a * u1 + b1 * v,
+                c0 * u0 + c1 * u1 * D - a * v, c0 * u1 + c1 * u0, D,
+            )
+        else:
+            p, p1, q = a * u0 + b0 * v, 0, c0 * u0 - a * v
+        g = math.gcd(p, p1, q)
+        if (q or p) < 0:  # v > 0, and infinity is (1, 0, 0)
+            g = -g
+        nxt = (p // g, p1 // g, q // g)
+        if nxt == key:
+            raise DegenerateStart(f"{_key_param(key, D)!r} is fixed by an involution")
         if nxt in forbidden:
-            raise DegenerateStart(f"chain hit configuration parameter {nxt!r}")
+            raise DegenerateStart(f"chain hit configuration parameter {_key_param(nxt, D)!r}")
         # a revisit before the final step retraces the walk: the start sat on
         # a fixed point of a partial word, and the 2n-gon degenerates
         if step < total - 1 and nxt in seen:
-            raise DegenerateStart(f"walk revisits {nxt!r} before closing")
+            raise DegenerateStart(f"walk revisits {_key_param(nxt, D)!r} before closing")
         seen.add(nxt)
-        params.append(nxt)
-        current = nxt
-    closed = params[-1] == params[0]
+        keys.append(nxt)
+        u0, u1, v = key = nxt
+    params = tuple(_key_param(k, D) for k in keys)
     vertices = tuple(veronese(p) for p in params[:-1])
-    return PolygonChain("dual", tuple(params), vertices, closed, 2 * config.n)
+    return PolygonChain("dual", params, vertices, keys[-1] == keys[0], total)
 
 
 def _tangent_walk(
@@ -287,7 +372,7 @@ def _exact_walk(
     else:
         D = start._D or next((l._D for l in lines if l._D), 0)
     line_pairs = [_pairs_over(l, D) for l in lines]
-    (u0, u1), (v, _) = _to_pairs(t.pair())
+    u0, u1, v = _key_of(t, D)
     vertices = [start]
     edge_params = [t]
     for step, target in enumerate(targets):
@@ -318,11 +403,7 @@ def _exact_walk(
             va, vb = x0 * v, y0 * v
         else:
             ua, ub, va, vb = x2, y2, 2 * x1, 2 * y1
-        # times the conjugate of V, which makes V rational; a rational or
-        # infinite parameter has u1 = 0
-        u0 = ua * va - ub * vb * D
-        u1 = ub * va - ua * vb
-        v = va * va - vb * vb * D
+        u0, u1, v = _conjugate_step(ua, ub, va, vb, D)
         if u1:
             value = _ext(u0, u1, v, D)
             t = ConicParam(value)

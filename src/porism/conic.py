@@ -59,8 +59,13 @@ def is_tangent(l: ProjLine) -> bool:
 
 
 def veronese(t: ConicParam) -> ProjPoint:
-    """The parametrization point (1 : t : t^2); infinity maps to (0 : 0 : 1)."""
+    """The parametrization point (1 : t : t^2); infinity maps to (0 : 0 : 1).
+
+    A rational t is a coprime pair (u, v) with v >= 0, so (v^2, uv, u^2) is
+    primitive with a positive lead and skips _normalize."""
     u, v = t.pair()
+    if type(u) is int:
+        return ProjPoint._from_primitive((v * v, u * v, u * u))
     return ProjPoint(v * v, u * v, u * u)
 
 

@@ -173,6 +173,15 @@ class _ProjTriple:
         obj._coords, obj._D, obj._pairs = _pair_canonical(pairs, D)
         return obj
 
+    @classmethod
+    def _from_primitive(cls, ints: tuple):
+        """The exact triple of a primitive int triple with a positive lead,
+        which is already its canonical form."""
+        obj = object.__new__(cls)
+        obj.kind = "exact"
+        obj._coords, obj._D, obj._pairs = ints, None, None
+        return obj
+
     @property
     def coords(self) -> tuple:
         """The canonical entries: ints, floats, or ints and QuadExt derived
@@ -426,16 +435,20 @@ class ConicParam:
             g = math.gcd(u, v)
             if v < 0:
                 g = -g
-            obj = object.__new__(cls)
-            obj._pair = (u // g, v // g)
-            return obj
+            return cls._from_coprime(u // g, v // g)
         return cls(u / v)
 
     @classmethod
-    def infinity(cls) -> "ConicParam":
+    def _from_coprime(cls, u: int, v: int) -> "ConicParam":
+        """The parameter of a coprime int pair with v >= 0, which is already
+        its canonical pair."""
         obj = object.__new__(cls)
-        obj._pair = (1, 0)
+        obj._pair = (u, v)
         return obj
+
+    @classmethod
+    def infinity(cls) -> "ConicParam":
+        return cls._from_coprime(1, 0)
 
     @property
     def is_infinite(self) -> bool:

@@ -32,9 +32,20 @@ def _fmt(v: float) -> str:
     return "0.000" if out == "-0.000" else out
 
 
+def _floats(coords: tuple) -> tuple:
+    """Homogeneous coordinates as floats. Ints past the float range (a dual
+    chain at n = 256 reaches 3700 bits) are divided first, all by one power
+    of two, which keeps their ratios."""
+    try:
+        return tuple(float(c) for c in coords)
+    except OverflowError:
+        shift = max(abs(c).bit_length() for c in coords if type(c) is int) - 1000
+        return tuple(float(c / (1 << shift)) for c in coords)
+
+
 def _chart(p) -> tuple[float, float] | None:
     """Affine coordinates of a projective point, or None at infinity."""
-    x0, x1, x2 = (float(c) for c in p.coords)
+    x0, x1, x2 = _floats(p.coords)
     scale = max(abs(x0), abs(x1), abs(x2))
     if abs(x0) <= 1e-9 * scale:
         return None
@@ -46,7 +57,7 @@ def _window(scene: SceneDocument) -> float:
     and every finite chain vertex is visible."""
     candidates = [2.5]
     for l in scene.lines:
-        l0, l1, l2 = (float(c) for c in l.coords)
+        l0, l1, l2 = _floats(l.coords)
         norm = math.hypot(l1, l2)
         if norm > 1e-12:
             foot = abs(l0) / norm
@@ -109,7 +120,7 @@ def _conic_path(proj: _Projector, samples: int) -> str:
 
 def _clip_line(l, w: float) -> tuple[tuple[float, float], tuple[float, float]] | None:
     """Visible segment of the line l0 + l1 x + l2 y = 0 in [-w, w]^2."""
-    l0, l1, l2 = (float(c) for c in l.coords)
+    l0, l1, l2 = _floats(l.coords)
     pts = []
     eps = 1e-9 * max(1.0, w)
     if abs(l2) > 1e-12:

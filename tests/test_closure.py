@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from porism.algebra import Mat2, is_scalar_multiple_of_identity, mat2_power, pn_polynomial
 from porism.closure import (
@@ -24,7 +24,7 @@ from porism.closure import (
     validate,
     well_inscribed,
 )
-from porism.conic import chord, conic_form, tangent_at, tangents_from
+from porism.conic import chord, conic_form, polar, tangent_at, tangents_from, veronese
 from porism.errors import (
     DegenerateStart,
     FieldInsufficient,
@@ -32,7 +32,7 @@ from porism.errors import (
     MixedBackend,
     NotClosed,
 )
-from porism.fields import QuadExt
+from porism.fields import QuadExt, quadext
 from porism.involution import fregier
 from porism.plane import (
     INFINITY,
@@ -46,8 +46,12 @@ from porism.plane import (
     incident,
     join,
     meet,
+    mobius_apply,
+    mobius_compose,
     point_on_line,
 )
+
+F = Fraction
 
 # the x = 0 normal form: poles (1:0:-1) and (0:1:0), involutions 1/t and -t
 X0_CONFIG = LineConfiguration([ProjLine(1, 0, -1), ProjLine(0, 1, 0)])
@@ -162,11 +166,14 @@ def test_dual_chain_builds_the_forbidden_set_once():
     config = LineConfiguration(X0_CONFIG.lines)
     dual_chain(config, ConicParam(Fraction(3)))
     forbidden = config._forbidden
-    assert forbidden == frozenset(config.report.all_params)
+    # per radicand, the int keys (u0, u1, v) of -1, 1, infinity and 0
+    assert forbidden == {0: frozenset({(-1, 0, 1), (1, 0, 1), (1, 0, 0), (0, 0, 1)})}
+    keys = forbidden[0]
     with pytest.raises(DegenerateStart):
         dual_chain(config, ConicParam(Fraction(1)))
     dual_chain(config, ConicParam(Fraction(5)))
     assert config._forbidden is forbidden  # built once per configuration
+    assert forbidden[0] is keys
 
 
 def test_dual_chain_degenerate_starts():
@@ -174,6 +181,157 @@ def test_dual_chain_degenerate_starts():
         dual_chain(X0_CONFIG, ConicParam(Fraction(1)))  # config meets D here
     with pytest.raises(DegenerateStart):
         dual_chain(X0_CONFIG, INFINITY)
+
+
+SQRT2 = QuadExt(0, 1, 2)
+# a valid configuration over Q(sqrt 2) on which the porism fails
+SQRT2_CONFIG = LineConfiguration(
+    [ProjLine(F(1, 4), SQRT2, 1), ProjLine(F(-7, 4), SQRT2, 1), ProjLine(1, 2 * SQRT2, 1)]
+)
+
+
+def test_dual_chain_over_an_extension_configuration_frozen():
+    assert SQRT2_CONFIG.report.valid and not porism_holds(SQRT2_CONFIG)
+    chain = dual_chain(SQRT2_CONFIG, ConicParam(F(3)))
+    assert [_frozen(t.value) for t in chain.params] == [
+        3,
+        (F(3, 34), F(-35, 68), 2),
+        (27, 4, 2),
+        (F(27, 679), F(-684, 679), 2),
+        (F(-27, 1394), F(-2083, 2788), 2),
+        (F(243, 679), F(-3440, 679), 2),
+        (F(-243, 22367), F(-25128, 22367), 2),
+    ]
+    assert not chain.closed
+    assert chain.vertices[2] == ProjPoint(1, QuadExt(27, 4, 2), QuadExt(761, 216, 2))
+
+
+def test_dual_chain_refuses_a_second_radicand():
+    with pytest.raises(MixedBackend):
+        dual_chain(SQRT2_CONFIG, ConicParam(QuadExt(1, 1, 3)))
+
+
+def test_dual_chain_refuses_float_starts_and_configurations():
+    config = generate_closing(4, 0)
+    with pytest.raises(MixedBackend):
+        dual_chain(config, ConicParam(0.3))
+    with pytest.raises(MixedBackend):
+        dual_chain(config.as_float(), ConicParam(F(3)))
+    with pytest.raises(MixedBackend):
+        dual_chain(config.as_float(), ConicParam(0.3))
+
+
+def _public_dual_walk(config, start):
+    """The dual walk by the public Mobius action on ConicParams, with
+    dual_chain's checks: its params, or None where it must raise
+    DegenerateStart."""
+    members = pole_involutions(config).members
+    forbidden = set(config.report.all_params)
+    params = [start]
+    if start in forbidden:
+        return None
+    for step in range(2 * config.n):
+        nxt = mobius_apply(members[step % config.n].map, params[-1])
+        if nxt == params[-1] or nxt in forbidden:
+            return None
+        if step < 2 * config.n - 1 and nxt in params:
+            return None
+        params.append(nxt)
+    return tuple(params)
+
+
+def _assert_dual_walks_agree(config, start):
+    expected = _public_dual_walk(config, start)
+    if expected is None:
+        with pytest.raises(DegenerateStart):
+            dual_chain(config, start)
+        return
+    chain = dual_chain(config, start)
+    assert chain.params == expected
+    assert [repr(t) for t in chain.params] == [repr(t) for t in expected]
+    assert chain.vertices == tuple(veronese(t) for t in expected[:-1])
+    assert chain.closed == (expected[-1] == expected[0])
+
+
+generators = st.sampled_from([generate_closing, random_configuration])
+
+
+@settings(max_examples=40, deadline=None)
+@given(generators, st.integers(2, 48), st.integers(0, 2**16), st.fractions(max_denominator=30))
+def test_dual_chain_is_the_iterated_mobius_action(generator, n, seed, start):
+    _assert_dual_walks_agree(generator(n, seed), ConicParam(start))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generators, st.integers(2, 6), st.integers(0, 2**16), st.fractions(max_denominator=9),
+       st.integers(0, 11))
+def test_dual_chain_from_extension_starts(generator, n, seed, point, pick):
+    # the edge parameters of a primal walk lie in Q(sqrt d) for most starts
+    config = generator(n, seed)
+    start = point_on_line(config.lines[0], ConicParam(point))
+    try:
+        edges = primal_chain(config, start).params
+    except DegenerateStart:
+        return
+    _assert_dual_walks_agree(config, edges[pick % len(edges)])
+
+
+small = st.integers(-4, 4)
+over_sqrt2 = st.builds(lambda a, b: quadext(a, b, 2), small, small)
+
+
+@settings(max_examples=60, deadline=None)
+@example([(SQRT2, 1, 1), (1, 2, 3)], ConicParam(F(1, 3)))  # only c irrational
+@example([(1, 1, SQRT2), (3, 2, 1)], ConicParam(F(5)))  # only b irrational
+@example([(SQRT2, 0, 1), (1, 3, SQRT2)], ConicParam(F(5)))
+@given(st.lists(st.tuples(over_sqrt2, over_sqrt2, over_sqrt2), min_size=2, max_size=5),
+       st.one_of(st.builds(lambda a, b: ConicParam(Fraction(a, b)), small, st.integers(1, 4)),
+                 st.builds(ConicParam, over_sqrt2.filter(lambda x: isinstance(x, QuadExt)))))
+def test_dual_chain_over_extension_configurations(poles, start):
+    # each member's b or c, or both, may lie in Q(sqrt 2)
+    assume(all(any(x) for x in poles))
+    points = [ProjPoint(*x) for x in poles]
+    assume(len(set(points)) == len(points))
+    config = LineConfiguration([polar(p) for p in points])
+    try:
+        valid = config.report.valid
+    except MixedBackend:  # validate cannot yet say that a member leaves Q(sqrt 2)
+        valid = False
+    assume(valid)
+    _assert_dual_walks_agree(config, start)
+
+
+def test_dual_chain_steps_through_infinity_and_degenerate_words():
+    for config in [SQRT2_CONFIG] + [random_configuration(3, seed) for seed in range(4)]:
+        u = [f.map for f in pole_involutions(config).members]
+        # the first step lands on infinity, which no member line meets here
+        assert INFINITY not in config.report.all_params
+        _assert_dual_walks_agree(config, mobius_apply(u[0], INFINITY))
+        # a fixed point of u_2 u_1 returns at the second step
+        for t in fixed_points(mobius_compose(u[1], u[0])).params:
+            _assert_dual_walks_agree(config, t)
+            with pytest.raises(DegenerateStart, match="revisits"):
+                dual_chain(config, t)
+        # the first step lands on a parameter of the second line
+        for p in config.report.params[1]:
+            _assert_dual_walks_agree(config, mobius_apply(u[0], p))
+            with pytest.raises(DegenerateStart, match="hit configuration parameter"):
+                dual_chain(config, mobius_apply(u[0], p))
+
+
+def test_dual_chain_detects_configuration_parameters_over_any_radicand():
+    checked = 0
+    for seed in range(4):
+        config = random_configuration(3, seed)
+        for t in config.report.all_params:
+            u, _ = t.pair()
+            if isinstance(u, QuadExt):
+                # u = a + b sqrt(D), written over 4 D
+                for same in (t, ConicParam(QuadExt(u.a, u.b / 2, 4 * u.d))):
+                    with pytest.raises(DegenerateStart, match="lies on a configuration line"):
+                        dual_chain(config, same)
+                checked += 1
+    assert checked >= 16
 
 
 def test_dual_chain_open_on_random_config():
@@ -447,7 +605,6 @@ def test_concurrent_tangent_chain_rejects_even_or_tiny():
 # open configuration from a start with imaginary tangents; and a pencil
 # through (0 : 1 : 0). A scalar a + b sqrt(d) is written (a, b, d), the
 # parameter at infinity None.
-F = Fraction
 
 FROZEN_REAL_FIRST = (
     [

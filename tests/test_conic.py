@@ -56,6 +56,17 @@ def test_veronese_lands_on_conic(t):
     assert on_conic(veronese(t))
 
 
+@given(st.one_of(st.builds(ConicParam, st.fractions()), st.just(INFINITY)))
+def test_veronese_of_a_rational_parameter_is_the_normalized_point(t):
+    # a rational parameter skips _normalize; the point must be the one it gives
+    u, v = t.pair()
+    point, normalized = veronese(t), ProjPoint(v * v, u * v, u * u)
+    assert point == normalized and hash(point) == hash(normalized)
+    assert (point._coords, point._pairs, point._D, point.kind) == (
+        normalized._coords, normalized._pairs, normalized._D, normalized.kind
+    )
+
+
 def test_parameter_of_frozen():
     assert parameter_of(ProjPoint(1, 2, 4)) == ConicParam(Fraction(2))
     assert parameter_of(ProjPoint(0, 0, 1)) == INFINITY

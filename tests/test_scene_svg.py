@@ -216,6 +216,15 @@ def test_render_skips_infinite_chain_points():
     assert svg.count('class="vertex"') == 1
 
 
+def test_render_charts_vertices_past_the_float_range():
+    # a dual chain at n = 256 has 1800-bit parameters; the vertex of
+    # (3^1200 + 1)/3^1200, near (1 : 1 : 1), has 3800-bit coordinates
+    near_one = ConicParam(Fraction(3**1200 + 1, 3**1200))
+    doc = SceneDocument(X0_SCENE.lines, chains=((near_one, ConicParam(Fraction(1, 2)), near_one),))
+    one = SceneDocument(X0_SCENE.lines, chains=(_params(1, Fraction(1, 2), 1),))
+    assert render_scene(doc) == render_scene(one)
+
+
 def test_render_sample_floor():
     with pytest.raises(ValueError):
         render_scene(X0_SCENE, samples=7)
