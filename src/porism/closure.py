@@ -58,6 +58,7 @@ from .plane import (
     _pair_cross,
     _pair_dot,
     _pairs_over,
+    _primitive,
     _repeats,
     _to_pairs,
     incident,
@@ -129,15 +130,29 @@ class LineConfiguration:
 
 
 def validate(config: LineConfiguration) -> ValidityReport:
-    """Tangency and parameter-distinctness report; never raises."""
+    """Tangency and parameter-distinctness report. A member whose conic
+    parameters leave its field raises FieldInsufficient, naming it.
+
+    A rational configuration counts only its rational parameters for
+    repeats: an irrational one has its line's quadratic as its minimal
+    polynomial over Q, so only that same line, which LineConfiguration
+    refuses, could repeat it."""
     tangent_members = []
     groups = []
     for i, line in enumerate(config.lines):
-        roots = line_conic_params(line)
+        try:
+            roots = line_conic_params(line)
+        except MixedBackend as exc:  # roots over a second radicand
+            raise FieldInsufficient(
+                f"the conic parameters of member {i}, {line!r}, leave its field"
+            ) from exc
         groups.append(tuple(roots.params))
         if roots.double:
             tangent_members.append(i)
-    repeated = _repeats([p for group in groups for p in group])
+    params = [p for group in groups for p in group]
+    if config.kind == "exact" and all(l._pairs is None for l in config.lines):
+        params = [p for p in params if type(p.pair()[0]) is int]
+    repeated = _repeats(params)
     valid = not tangent_members and not repeated
     return ValidityReport(valid, tuple(tangent_members), tuple(repeated), tuple(groups))
 
@@ -523,22 +538,45 @@ def _random_fraction(
 
 
 def _random_point(rng: random.Random, span: int = 9) -> ProjPoint:
-    """A point with _random_fraction coordinates, redrawn while all are zero."""
+    """A point with _random_fraction coordinates, redrawn while all are zero.
+
+    It makes the same draws, numerator then denominator per coordinate,
+    and clears the denominators in ints: no Fraction is built."""
     while True:
-        coords = tuple(_random_fraction(rng, span) for _ in range(3))
-        if any(coords):
-            return ProjPoint(*coords)
+        n0, d0 = rng.randint(-span, span), rng.randint(1, span)
+        n1, d1 = rng.randint(-span, span), rng.randint(1, span)
+        n2, d2 = rng.randint(-span, span), rng.randint(1, span)
+        if n0 or n1 or n2:
+            coords = (n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1)
+            return ProjPoint._from_primitive(_primitive(coords))
 
 
 def _admit(line: ProjLine, gathered: set) -> bool:
-    """Whether line may join the lines whose conic parameters gathered holds,
-    adding its parameters if so: it is not tangent, and its two parameters
+    """Whether a rational line may join the lines gathered describes, adding
+    its description if so: it is not tangent, and its two conic parameters
     avoid every gathered one (so it repeats no line). Validity is pairwise,
-    so lines admitted one at a time make a valid configuration."""
-    roots = line_conic_params(line)
-    if roots.double or not gathered.isdisjoint(roots.params):
+    so lines admitted one at a time make a valid configuration.
+
+    Decided on ints by the discriminant l1^2 - 4 l0 l2 of l2 t^2 + l1 t + l0:
+    zero is a tangent; a square gives two rational roots, gathered as
+    coprime pairs; a non-square gives irrational roots whose minimal
+    polynomial over Q is the line's own quadratic, so only the same line
+    shares them, and the line's triple is gathered in their place."""
+    l0, l1, l2 = line._coords
+    disc = l1 * l1 - 4 * l0 * l2
+    r = math.isqrt(disc) if disc > 0 else 0
+    if r * r != disc:
+        keys = (line._coords,)
+    elif not disc:
         return False
-    gathered.update(roots.params)
+    elif l2:
+        keys = (ConicParam._from_pair(-l1 + r, 2 * l2).pair(),
+                ConicParam._from_pair(-l1 - r, 2 * l2).pair())
+    else:  # infinity and -l0/l1
+        keys = ((1, 0), ConicParam._from_pair(-l0, l1).pair())
+    if not gathered.isdisjoint(keys):
+        return False
+    gathered.update(keys)
     return True
 
 
@@ -566,7 +604,8 @@ def generate_closing(n: int, seed: int, max_tries: int = 400) -> LineConfigurati
             members, gathered = [], set()
             try:
                 locus = closing_center_locus(chain)
-                center = point_on_line(locus, ConicParam(_random_fraction(rng)))
+                t = ConicParam._from_pair(rng.randint(-9, 9), rng.randint(1, 9))
+                center = point_on_line(locus, t)
                 full = chain.extended(fregier(center))
             except (CenterOnConic, IdentityMap):
                 continue

@@ -19,6 +19,7 @@ from .plane import (
     ProjPoint,
     _pairs_quadric_zero,
     _quadratic_params,
+    _triple,
     incident,
 )
 
@@ -98,13 +99,13 @@ def tangent_at(t: ConicParam) -> ProjLine:
 def polar(p: ProjPoint) -> ProjLine:
     """The polar line Q.p = (-x2 : 2 x1 : -x0)."""
     x0, x1, x2 = p.coords
-    return ProjLine(-x2, 2 * x1, -x0)
+    return _triple(ProjLine, (-x2, 2 * x1, -x0))
 
 
 def pole(l: ProjLine) -> ProjPoint:
     """The pole of a line; inverse of polar."""
     l0, l1, l2 = l.coords
-    return ProjPoint(2 * l2, -l1, 2 * l0)
+    return _triple(ProjPoint, (2 * l2, -l1, 2 * l0))
 
 
 def line_conic_params(l: ProjLine) -> ParamRoots:

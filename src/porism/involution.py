@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
+from .algebra import Mat2
 from .conic import chord, pole, tangent_at
 from .errors import (
     CoincidentLines,
@@ -54,10 +55,17 @@ class FregierInvolution(NamedTuple):
 
 def fregier(center: ProjPoint) -> FregierInvolution:
     """The involution with the given center: s and fregier(s) span a chord
-    through the center. Matrix [[c1, -c2], [c0, -c1]]."""
+    through the center. Matrix [[c1, -c2], [c0, -c1]].
+
+    A rational center is primitive, so off the conic this matrix is
+    primitive and nonsingular already; it only takes a positive lead."""
     c0, c1, c2 = center.coords
     if c0 * c2 == c1 * c1:
         raise CenterOnConic(f"{center!r} lies on the conic")
+    if center.kind == "exact" and center._pairs is None:
+        if (c1 or -c2) < 0:  # c0 > 0 leads when c1 = c2 = 0
+            c0, c1, c2 = -c0, -c1, -c2
+        return FregierInvolution(center, MobiusMap._from_canonical(Mat2(c1, -c2, c0, -c1)))
     return FregierInvolution(center, MobiusMap(c1, -c2, c0, -c1))
 
 

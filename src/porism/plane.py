@@ -62,15 +62,30 @@ _EXACT = frozenset((int, Fraction, QuadExt))
 _FLOAT = frozenset((int, float))
 
 
+def _primitive(ints) -> tuple:
+    """The primitive multiple of a nonzero int tuple, with a positive
+    leading entry; the zero tuple raises DegenerateTuple."""
+    content = math.gcd(*ints)
+    if not content:
+        raise DegenerateTuple("zero is not a projective coordinate tuple")
+    for lead in ints:
+        if lead:
+            break
+    if lead < 0:
+        content = -content
+    return tuple([i // content for i in ints])
+
+
 def _normalize(coords: tuple) -> tuple:
     """Canonical representative of a projective coordinate tuple, as
     (coords, kind, D, pairs); D and pairs are None unless an entry lies in
-    an extension. One dispatch on the set of entry types decides the
-    backend; plain ints are neutral and adopt the backend of the others.
+    an extension, and then coords is None. One dispatch on the set of entry
+    types decides the backend; plain ints are neutral and adopt the backend
+    of the others.
 
     Ints and Fractions: the primitive integer tuple, in plain ints, with a
-    positive leading entry. Entries over one radicand D: the integer pairs
-    of the multiple whose leading entry is a positive rational
+    positive leading entry (_primitive). Entries over one radicand D: the
+    integer pairs of the multiple whose leading entry is a positive rational
     (_pair_canonical), or its ints if no extension entry is left. Ints and
     floats: divide by the largest magnitude and make the first significant
     entry positive.
@@ -81,19 +96,12 @@ def _normalize(coords: tuple) -> tuple:
         if Fraction in types:
             scale = math.lcm(*(c.denominator for c in coords))
             ints = [c.numerator * (scale // c.denominator) for c in coords]
-        if not any(ints):
-            raise DegenerateTuple("zero is not a projective coordinate tuple")
-        content = math.gcd(*ints)
-        if next(i for i in ints if i) < 0:
-            content = -content
-        return tuple(i // content for i in ints), "exact", None, None
+        return _primitive(ints), "exact", None, None
     if types <= _EXACT:
         radicands = {c._D for c in coords if type(c) is QuadExt}
         if len(radicands) > 1:
             raise MixedBackend(f"entries over the radicands {sorted(radicands)}")
         canon, D, pairs = _pair_canonical(_to_pairs(coords), radicands.pop())
-        if pairs is not None:
-            canon = _entries(pairs, D)
         return canon, "exact", D, pairs
     if types <= _FLOAT:
         coords = tuple(map(float, coords))
@@ -161,8 +169,7 @@ class _ProjTriple:
     __slots__ = ("_coords", "kind", "_D", "_pairs")
 
     def __init__(self, x0, x1, x2):
-        coords, self.kind, self._D, self._pairs = _normalize((x0, x1, x2))
-        self._coords = None if self._pairs else coords
+        self._coords, self.kind, self._D, self._pairs = _normalize((x0, x1, x2))
 
     @classmethod
     def _from_pairs(cls, pairs: tuple, D: int):
@@ -364,6 +371,15 @@ def concurrent(lines) -> bool:
     return True
 
 
+def _triple(cls, coords: tuple):
+    """The point or line cls(*coords); an int triple skips _normalize's
+    dispatch and is made primitive by _primitive alone."""
+    x0, x1, x2 = coords
+    if type(x0) is type(x1) is type(x2) is int:
+        return cls._from_primitive(_primitive(coords))
+    return cls(x0, x1, x2)
+
+
 def line_basis(l: ProjLine) -> tuple[ProjPoint, ProjPoint]:
     """Two independent points spanning the line, chosen deterministically."""
     candidates = []
@@ -374,7 +390,7 @@ def line_basis(l: ProjLine) -> tuple[ProjPoint, ProjPoint]:
     first = candidates[0]
     for other in candidates[1:]:
         if any(x != 0 for x in _cross(first, other)):
-            return ProjPoint(*first), ProjPoint(*other)
+            return _triple(ProjPoint, first), _triple(ProjPoint, other)
     raise DegenerateTuple(f"no basis for {l!r}")  # unreachable for a valid line
 
 
@@ -384,7 +400,7 @@ def point_on_line(l: ProjLine, t: "ConicParam") -> ProjPoint:
     p1, p2 = line_basis(l)
     u, v = t.pair()
     coords = tuple(v * x + u * y for x, y in zip(p1.coords, p2.coords))
-    return ProjPoint(*coords)
+    return _triple(ProjPoint, coords)
 
 
 def _repeats(items: Sequence) -> list:
@@ -502,13 +518,22 @@ class MobiusMap:
     __slots__ = ("mat",)
 
     def __init__(self, a, b, c, d):
-        entries, kind, _, _ = _normalize((a, b, c, d))
+        entries, kind, D, pairs = _normalize((a, b, c, d))
         if kind != "exact":
             raise MixedBackend("MobiusMap entries must be exact scalars")
+        if pairs is not None:
+            entries = _entries(pairs, D)
         mat = Mat2(*entries)
         if mat.det() == 0:
             raise SingularMap(f"singular matrix {entries!r}")
         self.mat = mat
+
+    @classmethod
+    def _from_canonical(cls, mat: Mat2) -> "MobiusMap":
+        """The map of a nonsingular matrix already in canonical form."""
+        obj = object.__new__(cls)
+        obj.mat = mat
+        return obj
 
     @classmethod
     def from_mat2(cls, m: Mat2) -> "MobiusMap":

@@ -9,7 +9,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from porism.algebra import Mat2, is_scalar_multiple_of_identity, mat2_power, pn_polynomial
 from porism.closure import (
     LineConfiguration,
+    ValidityReport,
+    _admit,
     _exact_walk,
+    _random_fraction,
+    _random_point,
     _repeats,
     TwoLineSystem,
     concurrent_tangent_chain,
@@ -24,7 +28,15 @@ from porism.closure import (
     validate,
     well_inscribed,
 )
-from porism.conic import chord, conic_form, polar, tangent_at, tangents_from, veronese
+from porism.conic import (
+    chord,
+    conic_form,
+    line_conic_params,
+    polar,
+    tangent_at,
+    tangents_from,
+    veronese,
+)
 from porism.errors import (
     DegenerateStart,
     FieldInsufficient,
@@ -50,6 +62,7 @@ from porism.plane import (
     mobius_compose,
     point_on_line,
 )
+from porism.suites import SPAN
 
 F = Fraction
 
@@ -84,6 +97,72 @@ def test_validate_cases():
     report = sharing.report
     assert not report.valid
     assert report.repeated_params == (ConicParam(Fraction(1)),)
+
+
+def _admit_reference(line, gathered):
+    """_admit on the public conic parameters of the line: not tangent, and
+    both parameters new."""
+    roots = line_conic_params(line)
+    if roots.double or not gathered.isdisjoint(roots.params):
+        return False
+    gathered.update(roots.params)
+    return True
+
+
+def _validate_reference(config):
+    """validate with every conic parameter counted for repeats."""
+    groups = tuple(tuple(line_conic_params(l).params) for l in config.lines)
+    tangent = tuple(i for i, l in enumerate(config.lines) if line_conic_params(l).double)
+    repeated = tuple(_repeats([p for group in groups for p in group]))
+    return ValidityReport(not tangent and not repeated, tangent, repeated, groups)
+
+
+coefficients = st.integers(-40, 40)
+rational_params = st.one_of(
+    st.just(INFINITY), st.builds(ConicParam, st.fractions(-6, 6, max_denominator=6))
+)
+# chords through the conic points at a few shared parameters
+shared = st.sampled_from([INFINITY, ConicParam(F(0)), ConicParam(F(1)), ConicParam(F(-1, 2))])
+rational_lines = st.one_of(
+    st.tuples(coefficients, coefficients, coefficients).filter(any).map(lambda c: ProjLine(*c)),
+    st.tuples(shared, rational_params).filter(lambda pair: pair[0] != pair[1])
+    .map(lambda pair: chord(*pair)),
+    st.builds(tangent_at, rational_params),
+)
+
+
+@st.composite
+def line_sequences(draw):
+    """Rational lines, some of them drawn again later in the sequence."""
+    lines = draw(st.lists(rational_lines, min_size=1, max_size=10))
+    again = draw(st.lists(st.integers(0, len(lines) - 1), max_size=3))
+    for i in again:
+        lines.insert(draw(st.integers(i + 1, len(lines))), lines[i])
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_sequences())
+def test_integer_admission_and_validation_match_the_parameter_reference(lines):
+    gathered, reference = set(), set()
+    for line in lines:
+        assert _admit(line, gathered) == _admit_reference(line, reference)
+    distinct = list(dict.fromkeys(lines))
+    if len(distinct) >= 2:
+        config = LineConfiguration(distinct)
+        report = validate(config)
+        assert report == _validate_reference(config)
+        assert repr(report) == repr(_validate_reference(config))
+
+
+def test_validate_refuses_a_member_whose_parameters_leave_its_field():
+    # the second polar is over Q(sqrt 2), and its discriminant 48 is no
+    # square there: its conic parameters lie in Q(sqrt 2, sqrt 3)
+    poles = [ProjPoint(0, 0, SQRT2), ProjPoint(1, -2 + SQRT2, -4 * SQRT2)]
+    config = LineConfiguration([polar(p) for p in poles])
+    for check in (validate, porism_holds, lambda c: dual_chain(c, ConicParam(F(1)))):
+        with pytest.raises(FieldInsufficient, match="member 1"):
+            check(config)
 
 
 def _pairwise_repeats(items):
@@ -295,7 +374,7 @@ def test_dual_chain_over_extension_configurations(poles, start):
     config = LineConfiguration([polar(p) for p in points])
     try:
         valid = config.report.valid
-    except MixedBackend:  # validate cannot yet say that a member leaves Q(sqrt 2)
+    except FieldInsufficient:  # a member's parameters leave Q(sqrt 2)
         valid = False
     assume(valid)
     _assert_dual_walks_agree(config, start)
@@ -524,6 +603,47 @@ GENERATOR_DIGESTS = {
 def test_generator_outputs_frozen(generator, n, seed):
     digest = hashlib.sha256(repr(generator(n, seed).lines).encode()).hexdigest()
     assert digest == GENERATOR_DIGESTS[generator, n, seed]
+
+
+# n = 2 ... 64 and seeds 0 ... 9, all lines of each generator in one digest:
+# the lines the generators gave when they sampled and admitted through
+# Fraction and QuadExt values
+ALL_GENERATOR_DIGESTS = {
+    generate_closing: "3026e095ce86d9f5848f525ba7d3ecad42535f230db2b73ec8ff7beff7246927",
+    random_configuration: "18668852a1d81129ec39c832796533143a227bfa79a44472134fbec0ac33b7b0",
+}
+
+
+@pytest.mark.parametrize("generator", list(ALL_GENERATOR_DIGESTS), ids=lambda g: g.__name__)
+def test_generator_outputs_frozen_over_small_n(generator):
+    digest = hashlib.sha256()
+    for n in range(2, 65):
+        for seed in range(10):
+            digest.update(repr(generator(n, seed).lines).encode())
+    assert digest.hexdigest() == ALL_GENERATOR_DIGESTS[generator]
+
+
+@pytest.mark.parametrize("generator", [generate_closing, random_configuration],
+                         ids=lambda g: g.__name__)
+def test_generators_build_no_fraction(generator, no_fraction_built):
+    for seed in range(3):
+        with no_fraction_built():
+            generator(32, seed)
+
+
+@pytest.mark.parametrize("span", [9, SPAN])
+@example(seed=7661)  # the first draw at span 9 is (0 : 0 : 0)
+@example(seed=6423)  # and at span 12
+@given(st.integers(0, 2**32))
+def test_random_point_draws_three_random_fractions(span, seed):
+    rng, twin = random.Random(seed), random.Random(seed)
+    point = _random_point(rng, span)
+    while True:
+        coords = tuple(_random_fraction(twin, span) for _ in range(3))
+        if any(coords):
+            break
+    assert point == ProjPoint(*coords)
+    assert rng.getstate() == twin.getstate()
 
 
 def test_random_configuration_generically_open():

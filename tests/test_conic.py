@@ -165,6 +165,19 @@ def test_polar_pole_round_trip(p):
     assert pole(polar(p)) == p
 
 
+@given(points)
+def test_polar_and_pole_of_rational_triples_are_the_normalized_triples(p):
+    # a rational triple skips _normalize; each result must be the one it gives
+    x0, x1, x2 = p.coords
+    for got, normalized in (
+        (polar(p), ProjLine(-x2, 2 * x1, -x0)),
+        (pole(ProjLine(x0, x1, x2)), ProjPoint(2 * x2, -x1, 2 * x0)),
+    ):
+        assert (got._coords, got._pairs, got._D, got.kind) == (
+            normalized._coords, normalized._pairs, normalized._D, normalized.kind
+        )
+
+
 @given(points, lines)
 def test_polarity_reverses_incidence(p, l):
     assert incident(l, p) == incident(polar(p), pole(l))

@@ -91,6 +91,13 @@ def test_fregier_chords_pass_through_center(center, t):
 
 
 @given(off_conic)
+def test_fregier_of_a_rational_center_is_the_normalized_map(center):
+    # a rational center skips MobiusMap's normalization; the map must be the one it gives
+    c0, c1, c2 = center.coords
+    assert fregier(center).map.mat.entries() == MobiusMap(c1, -c2, c0, -c1).mat.entries()
+
+
+@given(off_conic)
 def test_fregier_is_involution_and_round_trips(center):
     u = fregier(center)
     assert is_involution(u.map)
