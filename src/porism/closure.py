@@ -9,17 +9,18 @@ for all starts is exactly "that product is again an involution".
 Chains walk the configuration cyclically, twice around: the dual chain pushes
 a conic parameter through u_1, ..., u_n, u_1, ..., u_n; the primal chain
 traces the polar polygon with vertices on L_1, L_2, ..., L_n, L_1, ..., L_n
-and edges tangent to the conic. Exact walks run on integers over one radicand
-D: a parameter is the key (u0, u1, v) of (u0 + u1 sqrt(D))/v, which each step
-of either walk takes from its homogeneous pair by one conjugate step
-(_conjugate_step) and one gcd; public values are built once, from the keys.
+and edges tangent to the conic. By La Hire a vertex on L_k sees the tangents
+at t and u_k(t), so exact walks share one loop (_walk_keys) on integers over
+one radicand D: a parameter is the key (u0, u1, v) of (u0 + u1 sqrt(D))/v,
+which each step takes from its pair by one conjugate step and one gcd. The
+primal walk adds one meet per vertex; public values are built from the keys.
 """
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import Mat2, is_scalar_multiple_of_identity
 from .conic import (
@@ -33,7 +34,6 @@ from .conic import (
     tangency_discriminant,
     tangent_at,
     tangents_from,
-    veronese,
 )
 from .errors import (
     CenterOnConic,
@@ -47,7 +47,6 @@ from .errors import (
     InvalidConfiguration,
     MixedBackend,
     NotClosed,
-    NotIncident,
 )
 from .fields import QuadExt, Scalar, _ext
 from .involution import InvolutionChain, closing_center_locus, fregier
@@ -56,7 +55,6 @@ from .plane import (
     ProjLine,
     ProjPoint,
     _pair_cross,
-    _pair_dot,
     _pairs_over,
     _primitive,
     _repeats,
@@ -142,7 +140,9 @@ def validate(config: LineConfiguration) -> ValidityReport:
     for i, line in enumerate(config.lines):
         try:
             roots = line_conic_params(line)
-        except MixedBackend as exc:  # roots over a second radicand
+            if not roots.params and config.kind == "exact":  # no root in Q(sqrt d)
+                raise FieldInsufficient(f"no square root of {roots.discriminant!r}")
+        except (MixedBackend, FieldInsufficient) as exc:  # or roots over a second radicand
             raise FieldInsufficient(
                 f"the conic parameters of member {i}, {line!r}, leave its field"
             ) from exc
@@ -192,8 +192,8 @@ class PolygonChain(NamedTuple):
     """A walked polygon.
 
     Dual mode: params are the 2n+1 conic parameters p_0, ..., p_{2n} (last is
-    the return value), vertices their conic points except the return; closed
-    means p_{2n} = p_0.
+    the return value); vertices is empty, as the polygon's vertices are the
+    poles of chords, which well_inscribed builds; closed means p_{2n} = p_0.
 
     Primal mode: vertices are A_1, ..., A_{2n+1} (last is the return vertex),
     params the 2n tangency parameters of the edges; closed means
@@ -255,22 +255,49 @@ def _integer_maps(chain: InvolutionChain) -> tuple:
     return radicands.pop(), tuple((a, *b, *c) for (a, _), b, c in pairs)
 
 
+def _config_maps(config: LineConfiguration) -> tuple:
+    """_integer_maps of the configuration's pole involutions, read once."""
+    if config._maps is None:
+        config._maps = _integer_maps(pole_involutions(config))
+    return config._maps
+
+
+def _walk_keys(maps: tuple, D: int, key: tuple, order: Sequence[int]) -> list:
+    """The keys of a parameter pushed through maps[i] for each i in order,
+    the start's first: the one loop that steps an exact parameter. A rational
+    map acts on a rational key in plain ints, any other step on pairs."""
+    keys = [key]
+    u0, u1, v = key
+    for i in order:
+        a, b0, b1, c0, c1 = maps[i]
+        if u1 or b1 or c1:
+            p, p1, q = _conjugate_step(
+                a * u0 + b0 * v, a * u1 + b1 * v,
+                c0 * u0 + c1 * u1 * D - a * v, c0 * u1 + c1 * u0, D,
+            )
+        else:
+            p, p1, q = a * u0 + b0 * v, 0, c0 * u0 - a * v
+        g = math.gcd(p, p1, q)
+        if (q or p) < 0:  # v > 0, and infinity is (1, 0, 0)
+            g = -g
+        u0, u1, v = key = (p // g, p1 // g, q // g)
+        keys.append(key)
+    return keys
+
+
 def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
     """Push a conic parameter through the pole involutions, twice around.
 
-    The walk runs on integer keys over one radicand D, that of the
-    configuration or else of the start: a rational member map acts on a
-    rational key in plain ints, any other step on integer pairs. The member
-    maps, and per D the keys of the configuration parameters, are read once
-    per configuration; each ConicParam is built once, at the end. A float
-    start or configuration raises MixedBackend."""
+    The walk runs on integer keys (_walk_keys) over one radicand D, that of
+    the configuration or else of the start. The member maps, and per D the
+    keys of the configuration parameters, are read once per configuration;
+    each ConicParam is built once, at the end. A float start or
+    configuration raises MixedBackend."""
     u = start.pair()[0]
     if config.kind == "float" or type(u) is float:
         raise MixedBackend("dual chains walk exact parameters of exact configurations")
     _require_valid(config)
-    if config._maps is None:
-        config._maps = _integer_maps(pole_involutions(config))
-    D, maps = config._maps
+    D, maps = _config_maps(config)
     if not D and type(u) is QuadExt:
         D = u._D
     key = _key_of(start, D)
@@ -284,24 +311,10 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
         forbidden = config._forbidden[D] = frozenset(k for k in known if k)
     if key in forbidden:
         raise DegenerateStart(f"{start!r} lies on a configuration line")
-    n = config.n
-    total = 2 * n
-    keys = [key]
+    total = 2 * config.n
+    keys = _walk_keys(maps, D, key, [*range(config.n)] * 2)
     seen = {key}
-    u0, u1, v = key
-    for step in range(total):
-        a, b0, b1, c0, c1 = maps[step % n]
-        if u1 or b1 or c1:
-            p, p1, q = _conjugate_step(
-                a * u0 + b0 * v, a * u1 + b1 * v,
-                c0 * u0 + c1 * u1 * D - a * v, c0 * u1 + c1 * u0, D,
-            )
-        else:
-            p, p1, q = a * u0 + b0 * v, 0, c0 * u0 - a * v
-        g = math.gcd(p, p1, q)
-        if (q or p) < 0:  # v > 0, and infinity is (1, 0, 0)
-            g = -g
-        nxt = (p // g, p1 // g, q // g)
+    for step, (key, nxt) in enumerate(zip(keys, keys[1:])):
         if nxt == key:
             raise DegenerateStart(f"{_key_param(key, D)!r} is fixed by an involution")
         if nxt in forbidden:
@@ -311,15 +324,13 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
         if step < total - 1 and nxt in seen:
             raise DegenerateStart(f"walk revisits {_key_param(nxt, D)!r} before closing")
         seen.add(nxt)
-        keys.append(nxt)
-        u0, u1, v = key = nxt
     params = tuple(_key_param(k, D) for k in keys)
-    vertices = tuple(veronese(p) for p in params[:-1])
-    return PolygonChain("dual", params, vertices, keys[-1] == keys[0], total)
+    return PolygonChain("dual", params, (), keys[-1] == keys[0], total)
 
 
 def _tangent_walk(
-    lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], branch: str
+    lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], branch: str,
+    integer_maps: Callable[[], tuple],
 ) -> tuple[list[ProjPoint], list[ConicParam]]:
     """The walk behind primal_chain and concurrent_tangent_chain: from a
     start vertex on lines[0], draw the tangent that branch selects, meet it
@@ -327,8 +338,9 @@ def _tangent_walk(
     other tangent. Returns the start plus one vertex per target, and the
     tangency parameters of the edges between them.
 
-    An exact walk runs on integer pairs (_exact_walk), a float walk on the
-    public constructions."""
+    An exact walk (_exact_walk) steps its edges by the dual key loop through
+    the pole involutions of lines, as integer_maps() gives them (La Hire); a
+    float walk runs on the public constructions."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     if not incident(lines[0], start):
@@ -344,90 +356,57 @@ def _tangent_walk(
             f"tangent parameters from {start!r} need a square root "
             "outside the float backend's reach"
         )
-    is_float = start.kind == "float"
     t = roots.params[0 if branch == "first" else 1]
-    if is_float and t.is_infinite:
-        raise DegenerateStart("float walk hit the parameter at infinity")
-    vertices = [start]
-    edge_params = [t]
+    if start.kind == "exact":
+        return _exact_walk(lines, start, targets, t, integer_maps)
+    vertices, edge_params = [start], []
     try:
-        if not is_float:
-            return _exact_walk(lines, start, targets, t)
-        for step, target in enumerate(targets):
+        for target in targets:
+            if edge_params:
+                t = other_tangent_param(vertices[-1], t)
+            if t.is_infinite:
+                raise DegenerateStart("float walk hit the parameter at infinity")
+            edge_params.append(t)
             vertex = meet(tangent_at(t), lines[target])
             if vertex == vertices[-1]:
                 raise DegenerateStart(f"stalled at {vertex!r}")
             if on_conic(vertex):
                 raise DegenerateStart(f"vertex {vertex!r} fell on the conic")
             vertices.append(vertex)
-            if step == len(targets) - 1:
-                break
-            t = other_tangent_param(vertex, t)
-            if t.is_infinite:
-                raise DegenerateStart("float walk hit the parameter at infinity")
-            edge_params.append(t)
     except (CoincidentLines, CoincidentPoints, EqualParameters) as exc:
         raise DegenerateStart(str(exc)) from exc
     return vertices, edge_params
 
 
 def _exact_walk(
-    lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], t: ConicParam
+    lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], t: ConicParam,
+    integer_maps: Callable[[], tuple],
 ) -> tuple[list[ProjPoint], list[ConicParam]]:
     """_tangent_walk over Q(sqrt D), the field of the first tangent (or of
-    the start or a line, or Q itself as D = 0), on integer pairs over
-    sqrt(D). The edge parameter is the homogeneous pair
-    (U : V) = (u0 + u1 sqrt(D) : v), its tangent line (U^2 : -2UV : V^2),
-    and the other tangent from a vertex x, by Vieta on
-    x0 t^2 - 2 x1 t + x2, is (2 x1 V - x0 U : x0 V), or (x2 : 2 x1) after
-    t = infinity. Each vertex and parameter is built once as a public value."""
-    u, _ = t.pair()
-    if isinstance(u, QuadExt):
-        D = u._D
-    else:
-        D = start._D or next((l._D for l in lines if l._D), 0)
+    the start or a line, or Q itself as D = 0), on integer pairs. The vertex
+    on lines[k] sees the tangents at t and u_k(t) (La Hire), so the edges are
+    the keys of t through targets[:-1], and each vertex is the meet of a line,
+    never tangent, with the tangent (U^2 : -2UV : V^2) at (U : V) =
+    (u0 + u1 sqrt(D) : v). Each vertex and parameter is built once."""
+    u = t.pair()[0]
+    D = u._D if type(u) is QuadExt else start._D or next((l._D for l in lines if l._D), 0)
+    # before the maps, so that a line over a second radicand raises MixedBackend
     line_pairs = [_pairs_over(l, D) for l in lines]
-    u0, u1, v = _key_of(t, D)
+    keys = _walk_keys(integer_maps()[1], D, _key_of(t, D), targets[:-1])
     vertices = [start]
-    edge_params = [t]
-    for step, target in enumerate(targets):
+    for (u0, u1, v), target in zip(keys, targets):
         tangent = (
             (u0 * u0 + u1 * u1 * D, 2 * u0 * u1),
             (-2 * u0 * v, -2 * u1 * v),
             (v * v, 0),
         )
-        meet_pairs = _pair_cross(tangent, line_pairs[target], D)
-        if not any(a or b for a, b in meet_pairs):
-            tangent_line = ProjLine._from_pairs(tangent, D)
-            raise CoincidentLines(f"meet of {tangent_line!r} with itself")
-        vertex = ProjPoint._from_pairs(meet_pairs, D)
+        vertex = ProjPoint._from_pairs(_pair_cross(tangent, line_pairs[target], D), D)
         if vertex == vertices[-1]:
             raise DegenerateStart(f"stalled at {vertex!r}")
         if on_conic(vertex):
             raise DegenerateStart(f"vertex {vertex!r} fell on the conic")
         vertices.append(vertex)
-        if step == len(targets) - 1:
-            break
-        x = _pairs_over(vertex, D)
-        if any(_pair_dot(tangent, x, D)):
-            raise NotIncident(f"tangent at {t!r} does not pass through {vertex!r}")
-        (x0, y0), (x1, y1), (x2, y2) = x
-        if v:
-            ua = 2 * x1 * v - x0 * u0 - y0 * u1 * D
-            ub = 2 * y1 * v - x0 * u1 - y0 * u0
-            va, vb = x0 * v, y0 * v
-        else:
-            ua, ub, va, vb = x2, y2, 2 * x1, 2 * y1
-        u0, u1, v = _conjugate_step(ua, ub, va, vb, D)
-        if u1:
-            value = _ext(u0, u1, v, D)
-            t = ConicParam(value)
-            u0, u1, v = value._a, value._b, value._c
-        else:
-            t = ConicParam._from_pair(u0, v)
-            u0, v = t.pair()
-        edge_params.append(t)
-    return vertices, edge_params
+    return vertices, [t, *(_key_param(k, D) for k in keys[1:])]
 
 
 def primal_chain(
@@ -450,7 +429,9 @@ def primal_chain(
             raise MixedBackend("exact start against a float configuration")
     n = config.n
     targets = [i % n for i in range(1, 2 * n + 1)]
-    vertices, edge_params = _tangent_walk(lines, start, targets, branch)
+    vertices, edge_params = _tangent_walk(
+        lines, start, targets, branch, lambda: _config_maps(config)
+    )
     closed = vertices[-1] == vertices[0]
     return PolygonChain(
         "primal", tuple(edge_params), tuple(vertices), closed, 2 * n
@@ -516,7 +497,10 @@ def concurrent_tangent_chain(
         raise MixedBackend("start and lines from different backends")
     # P_2 .. P_{2m}, visiting the pencil cyclically
     targets = [i % m for i in range(1, 2 * m)]
-    vertices, edge_params = _tangent_walk(lines, start, targets, branch)
+    vertices, edge_params = _tangent_walk(
+        lines, start, targets, branch,
+        lambda: _integer_maps(InvolutionChain([fregier(pole(l)) for l in lines])),
+    )
     if vertices[-1] == vertices[0]:
         raise DegenerateStart("walk returned to the start vertex early")
     closing = join(vertices[-1], vertices[0])

@@ -276,8 +276,7 @@ def _records():
          "params=((ConicParam(-1), ConicParam(1)), (ConicParam(inf), ConicParam(0))))"),
         (dual_chain(config, ConicParam(3)),
          "PolygonChain(mode='dual', params=(ConicParam(3), ConicParam(1/3), "
-         "ConicParam(-1/3), ConicParam(-3), ConicParam(3)), vertices=("
-         "ProjPoint(1:3:9), ProjPoint(9:3:1), ProjPoint(9:-3:1), ProjPoint(1:-3:9)), "
+         "ConicParam(-1/3), ConicParam(-3), ConicParam(3)), vertices=(), "
          "closed=True, steps=4)"),
         (TangentClosure((point,), (INFINITY,), ProjLine(0, 0, 1), True, 0),
          "TangentClosure(vertices=(ProjPoint(1:0:1),), edge_params=(ConicParam(inf),), "

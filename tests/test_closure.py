@@ -11,7 +11,6 @@ from porism.closure import (
     LineConfiguration,
     ValidityReport,
     _admit,
-    _exact_walk,
     _random_fraction,
     _random_point,
     _repeats,
@@ -32,6 +31,8 @@ from porism.conic import (
     chord,
     conic_form,
     line_conic_params,
+    on_conic,
+    other_tangent_param,
     polar,
     tangent_at,
     tangents_from,
@@ -165,6 +166,15 @@ def test_validate_refuses_a_member_whose_parameters_leave_its_field():
             check(config)
 
 
+def test_validate_refuses_a_member_whose_discriminant_is_no_square_in_its_field():
+    # the first line's discriminant 2 - 4 sqrt 2 has norm -28, so it is no
+    # square in Q(sqrt 2), and the line has no conic parameters there
+    config = LineConfiguration([ProjLine(1, SQRT2, SQRT2), ProjLine(1, 0, -1)])
+    for check in (validate, porism_holds, lambda c: dual_chain(c, ConicParam(F(3)))):
+        with pytest.raises(FieldInsufficient, match="member 0"):
+            check(config)
+
+
 def _pairwise_repeats(items):
     """_repeats' definition: each value with a later equal one, at its first
     occurrence, in order."""
@@ -282,7 +292,7 @@ def test_dual_chain_over_an_extension_configuration_frozen():
         (F(-243, 22367), F(-25128, 22367), 2),
     ]
     assert not chain.closed
-    assert chain.vertices[2] == ProjPoint(1, QuadExt(27, 4, 2), QuadExt(761, 216, 2))
+    assert veronese(chain.params[2]) == ProjPoint(1, QuadExt(27, 4, 2), QuadExt(761, 216, 2))
 
 
 def test_dual_chain_refuses_a_second_radicand():
@@ -328,7 +338,6 @@ def _assert_dual_walks_agree(config, start):
     chain = dual_chain(config, start)
     assert chain.params == expected
     assert [repr(t) for t in chain.params] == [repr(t) for t in expected]
-    assert chain.vertices == tuple(veronese(t) for t in expected[:-1])
     assert chain.closed == (expected[-1] == expected[0])
 
 
@@ -360,15 +369,17 @@ over_sqrt2 = st.builds(lambda a, b: quadext(a, b, 2), small, small)
 
 
 @settings(max_examples=60, deadline=None)
-@example([(SQRT2, 1, 1), (1, 2, 3)], ConicParam(F(1, 3)))  # only c irrational
-@example([(1, 1, SQRT2), (3, 2, 1)], ConicParam(F(5)))  # only b irrational
-@example([(SQRT2, 0, 1), (1, 3, SQRT2)], ConicParam(F(5)))
-@given(st.lists(st.tuples(over_sqrt2, over_sqrt2, over_sqrt2), min_size=2, max_size=5),
+@example([(2, SQRT2, 0), (1, 2, 3)], ConicParam(F(1, 3)))  # only c irrational
+@example([(2, 3, 2 * SQRT2), (3, 2, 1)], ConicParam(F(5)))  # only b irrational
+@example([(2, 4 * SQRT2, 8), (2, SQRT2, 0)], ConicParam(F(5)))
+@given(st.lists(st.builds(lambda s, t: (2, s + t, 2 * s * t), over_sqrt2, over_sqrt2),
+                min_size=2, max_size=5),
        st.one_of(st.builds(lambda a, b: ConicParam(Fraction(a, b)), small, st.integers(1, 4)),
                  st.builds(ConicParam, over_sqrt2.filter(lambda x: isinstance(x, QuadExt)))))
 def test_dual_chain_over_extension_configurations(poles, start):
-    # each member's b or c, or both, may lie in Q(sqrt 2)
-    assume(all(any(x) for x in poles))
+    # each member is the chord through two parameters s, t in Q(sqrt 2), with
+    # pole (2 : s + t : 2st): validate refuses a member whose parameters leave
+    # Q(sqrt 2), and a member's b or c, or both, may lie in it
     points = [ProjPoint(*x) for x in poles]
     assume(len(set(points)) == len(points))
     config = LineConfiguration([polar(p) for p in points])
@@ -900,18 +911,97 @@ def test_exact_tangent_walks_frozen():
     ) == FROZEN_PENCIL
 
 
+def _public_tangent_walk(lines, start, targets, branch):
+    """The tangent walk by public constructions alone: tangents_from for the
+    first edge, meet(tangent_at(t), line) for each vertex and
+    other_tangent_param for each later edge. Its vertices and edge
+    params, or None where the walk must raise DegenerateStart."""
+    if on_conic(start) or any(incident(l, start) for l in lines[1:]):
+        return None
+    t = tangents_from(start).params[0 if branch == "first" else 1]
+    vertices, params = [start], [t]
+    for step, target in enumerate(targets):
+        vertex = meet(tangent_at(t), lines[target])
+        if vertex == vertices[-1] or on_conic(vertex):
+            return None
+        vertices.append(vertex)
+        if step < len(targets) - 1:
+            t = other_tangent_param(vertex, t)
+            params.append(t)
+    return tuple(vertices), tuple(params)
+
+
+def _assert_tangent_walks_agree(walk, expected):
+    """walk() returns (vertices, params) equal to expected, reprs as well,
+    or raises DegenerateStart where expected is None."""
+    if expected is None:
+        with pytest.raises(DegenerateStart):
+            walk()
+        return
+    got = walk()
+    assert got == expected
+    assert [repr(x) for part in got for x in part] == [
+        repr(x) for part in expected for x in part
+    ]
+
+
+branches = st.sampled_from(["first", "second"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(generators, st.integers(2, 8), st.integers(0, 2**16), st.fractions(max_denominator=9),
+       branches)
+def test_exact_primal_walk_is_the_public_tangent_walk(generator, n, seed, point, branch):
+    config = generator(n, seed)
+    start = point_on_line(config.lines[0], ConicParam(point))
+    targets = [i % n for i in range(1, 2 * n + 1)]
+
+    def walk():
+        chain = primal_chain(config, start, branch)
+        assert chain.closed == (chain.vertices[-1] == chain.vertices[0])
+        return chain.vertices, chain.params
+
+    _assert_tangent_walks_agree(walk, _public_tangent_walk(config.lines, start, targets, branch))
+
+
+int_points = st.tuples(small, small, small).filter(any)
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_points, st.sampled_from([3, 5, 7]), st.lists(int_points, min_size=7, max_size=7),
+       st.fractions(max_denominator=9), branches)
+def test_exact_pencil_walk_is_the_public_tangent_walk(apex, m, others, point, branch):
+    apex = ProjPoint(*apex)
+    points = [ProjPoint(*x) for x in others[:m]]
+    assume(apex not in points)
+    lines = [join(apex, p) for p in points]
+    assume(not any(line_conic_params(l).double for l in lines))
+    start = point_on_line(lines[0], ConicParam(point))
+    expected = _public_tangent_walk(lines, start, [i % m for i in range(1, 2 * m)], branch)
+    if expected is not None and expected[0][-1] == start:  # back at the start early
+        expected = None
+
+    def walk():
+        closure = concurrent_tangent_chain(lines, start, branch)
+        assert closure.closing_line == join(closure.vertices[-1], start)
+        return closure.vertices, closure.edge_params
+
+    _assert_tangent_walks_agree(walk, expected)
+
+
 def test_exact_walk_builds_no_fraction(no_fraction_built):
-    # both branches from the starts of the frozen walks, one of them through t = infinity
+    # both branches from the starts of the frozen walks, one of them through
+    # t = infinity, and the frozen pencil walk with one line turned off its
+    # apex: a concurrent pencil returns the rational discriminant 0
     config = LineConfiguration(
         [ProjLine(3, 4, -10), ProjLine(14, 7, 2), ProjLine(917, 546, -234)]
     )
-    targets = [i % 3 for i in range(1, 7)]
-    for start in (ProjPoint(10, -5, 1), ProjPoint(0, 5, 2)):
-        for branch, t in zip(("first", "second"), tangents_from(start).params):
-            with no_fraction_built():
-                vertices, params = _exact_walk(config.lines, start, targets, t)
-            chain = primal_chain(config, start, branch)
-            assert (tuple(vertices), tuple(params)) == (chain.vertices, chain.params)
+    pencil = [ProjLine(1, 0, 2), ProjLine(27, 1, -64), ProjLine(4, 0, -33)]
+    with no_fraction_built():
+        for start in (ProjPoint(10, -5, 1), ProjPoint(0, 5, 2)):
+            for branch in ("first", "second"):
+                primal_chain(config, start, branch)
+        concurrent_tangent_chain(pencil, ProjPoint(16, 7, -8))
 
 
 def test_two_line_closure_frozen():
