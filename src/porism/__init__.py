@@ -16,7 +16,7 @@ import importlib
 
 # each exported name, listed under the module that defines it
 _EXPORTS = {
-    "algebra": ("Mat2", "Polynomial", "det3", "mat2_power", "pn_polynomial"),
+    "algebra": ("Mat2", "Polynomial", "det3", "pn_polynomial"),
     "closure": (
         "LineConfiguration", "PolygonChain", "TangentClosure", "TwoLineSystem",
         "ValidityReport", "concurrent_tangent_chain", "dual_chain",
@@ -25,11 +25,10 @@ _EXPORTS = {
     ),
     "conic": (
         "chord", "line_conic_params", "on_conic", "other_tangent_param",
-        "parameter_of", "polar", "pole", "second_intersection", "tangent_at",
-        "tangents_from", "veronese",
+        "polar", "pole", "tangent_at", "tangents_from", "veronese",
     ),
     "errors": ("GeometryError",),
-    "fields": ("FLOAT_TOL", "QuadExt", "quadext", "sqrt_scalar"),
+    "fields": ("FLOAT_TOL", "QuadExt", "sqrt_scalar"),
     "involution": (
         "DualMoebiusReport", "FregierInvolution", "InvolutionChain",
         "MoebiusReport", "aligned_centers_involutive", "center_of",

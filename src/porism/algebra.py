@@ -7,8 +7,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import Scalar
-
 
 class Polynomial:
     """Dense univariate polynomial, coefficients lowest degree first.
@@ -28,11 +26,6 @@ class Polynomial:
     @classmethod
     def x(cls) -> "Polynomial":
         return cls([0, 1])
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -56,12 +49,6 @@ class Polynomial:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -173,20 +160,6 @@ class Mat2:
 
     def __repr__(self):
         return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
-
-def mat2_power(m: Mat2, n: int) -> Mat2:
-    """Exact n-th power, n >= 0; the zeroth power is the identity."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    result = Mat2.identity()
-    while n:  # square and multiply
-        if n & 1:
-            result = result * m
-        n >>= 1
-        if n:
-            m = m * m
-    return result
 
 
 def is_scalar_multiple_of_identity(m: Mat2) -> bool:

@@ -352,9 +352,11 @@ def _tangent_walk(
             raise DegenerateStart(f"{start!r} lies on a second line of the walk")
     roots = tangents_from(start)
     if not roots.params:
+        # an exact start lacks roots only when its discriminant is a
+        # non-square in Q(sqrt D): an integer discriminant always has them
+        reach = "the float backend's reach" if start.kind == "float" else f"Q(sqrt({start._D}))"
         raise FieldInsufficient(
-            f"tangent parameters from {start!r} need a square root "
-            "outside the float backend's reach"
+            f"tangent parameters from {start!r} need a square root outside {reach}"
         )
     t = roots.params[0 if branch == "first" else 1]
     if start.kind == "exact":

@@ -9,8 +9,8 @@ through a projectivity, never by generalizing these formulas.
 """
 from __future__ import annotations
 
-from .errors import EqualParameters, NotIncident, NotOnConic, PointOnConic
-from .fields import FLOAT_TOL, _quotient
+from .errors import EqualParameters, NotIncident, PointOnConic
+from .fields import FLOAT_TOL
 from .plane import (
     INFINITY,
     ConicParam,
@@ -70,17 +70,6 @@ def veronese(t: ConicParam) -> ProjPoint:
     return ProjPoint(v * v, u * v, u * u)
 
 
-def parameter_of(p: ProjPoint) -> ConicParam:
-    """Inverse of veronese on the conic."""
-    if not on_conic(p):
-        raise NotOnConic(f"{p!r} is not on the conic")
-    x0, x1, _ = p.coords
-    at_infinity = x0 == 0 if p.kind == "exact" else abs(x0) <= FLOAT_TOL
-    if at_infinity:
-        return INFINITY
-    return ConicParam(_quotient(x1, x0))
-
-
 def chord(s: ConicParam, t: ConicParam) -> ProjLine:
     """The line through veronese(s) and veronese(t): (st : -(s+t) : 1)."""
     if s == t:
@@ -138,18 +127,6 @@ def _float_image(x, kind: str):
     if kind == "float" and x.kind == "exact" and x._pairs is None:
         return type(x)(*(float(c) for c in x.coords))
     return x
-
-
-def second_intersection(l: ProjLine, s: ConicParam) -> ConicParam:
-    """The other parameter of l on the conic, via Vieta; equals s iff tangent.
-
-    Stays inside the field generated by l and s, so chains that start in one
-    quadratic extension never need a second one.
-    """
-    if not incident(l, _float_image(veronese(s), l.kind)):
-        raise NotIncident(f"{s!r} is not an intersection parameter of {l!r}")
-    l0, l1, l2 = l.coords
-    return _other_root(l2, l1, l0, s)
 
 
 def tangents_from(p: ProjPoint) -> ParamRoots:

@@ -5,12 +5,12 @@ harnesses can distinguish "the theorem failed" (an assertion) from "the
 instance was degenerate" (resample).
 
 Plain ValueError is kept for errors in the arguments rather than in the
-geometry: a count out of range (n < 2, a negative power, fewer than three points or lines,
+geometry: a count out of range (n < 2, fewer than three points or lines,
 an empty chain, parameter lists of the wrong length, fewer than 8 samples,
 no trials), a bad `branch` or chain mode, repeated centers handed to
 aligned_centers_involutive, and misuse of a scalar (QuadExt() of a
-rational value or over a square d, the order or float image of an
-imaginary extension). A QuadExt is the integers (a + b sqrt(D))/c over one
+rational value or over a square d, the float image of an imaginary
+extension). A QuadExt is the integers (a + b sqrt(D))/c over one
 integer radicand D, and a triple keeps its extension entries as pairs over
 that D: entries or operands over two radicands raise MixedBackend.
 Non-scalar arguments raise TypeError.
@@ -51,10 +51,6 @@ class SingularMap(GeometryError, ValueError):
     """MobiusMap of a matrix with zero determinant."""
 
 
-class NotOnConic(GeometryError):
-    """parameter_of() of a point that is not on the conic."""
-
-
 class PointOnConic(GeometryError):
     """tangents_from() of a point lying on the conic (the two tangents collapse)."""
 
@@ -64,7 +60,7 @@ class CenterOnConic(GeometryError):
 
 
 class NotIncident(GeometryError):
-    """second_intersection() at a parameter that is not on the line."""
+    """other_tangent_param() at a parameter whose tangent misses the point."""
 
 
 class EqualParameters(GeometryError):

@@ -116,10 +116,10 @@ class QuadExt:
     gcd(a, b, c) = 1. QuadExt(a, b, d) takes rationals and means
     a + b*sqrt(d); a rational d = p/q is held over D = p*q, as
     sqrt(p/q) = sqrt(p*q)/q. The properties `.a`, `.b` and `.d` read the
-    element back as Fractions, a + b*sqrt(d) with d = D. Values with b = 0
-    demote to Fraction via the `quadext` factory. Elements of one field
-    written over different radicands (sqrt(8) = 2*sqrt(2)) combine, compare
-    and hash as one value. Instances are treated as immutable.
+    element back as Fractions, a + b*sqrt(d) with d = D. Arithmetic results
+    with b = 0 demote to Fraction. Elements of one field written over
+    different radicands (sqrt(8) = 2*sqrt(2)) combine, compare and hash as
+    one value. Instances are treated as immutable.
     """
 
     __slots__ = ("_a", "_b", "_c", "_D")
@@ -127,7 +127,7 @@ class QuadExt:
     def __init__(self, a, b, d):
         a, b, d = Fraction(a), Fraction(b), Fraction(d)
         if b == 0:
-            raise ValueError("rational value; use Fraction or the quadext() factory")
+            raise ValueError("rational value; use Fraction")
         if rational_sqrt(d) is not None:
             raise ValueError(f"d = {d} is a rational square; the extension is trivial")
         b /= d.denominator
@@ -176,51 +176,15 @@ class QuadExt:
     __truediv__ = _operator(_ratio)
     __rtruediv__ = _operator(_ratio, reflected=True)
 
-    def inverse(self) -> "QuadExt":
-        return _ratio((1, 0, 1), (self._a, self._b, self._c), self._D)
-
-    def __pow__(self, exp: int):
-        if not isinstance(exp, int):
-            return NotImplemented
-        base: Scalar = self if exp >= 0 else self.inverse()
-        result: Scalar = Fraction(1)
-        exp = abs(exp)
-        while exp:  # square and multiply
-            if exp & 1:
-                result = base * result
-            exp >>= 1
-            if exp:
-                base = base * base
-        return result
-
     def __neg__(self):
         return _ext(-self._a, -self._b, self._c, self._D)
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        if self._D < 0:
-            raise ValueError("no ordering on an imaginary extension")
-        # the exact sign (c > 0): with a = 0 or a and b of one sign it is
-        # the sign of b; otherwise the larger of a^2 and b^2 D (never equal,
-        # D being a non-square) decides
-        a, b = self._a, self._b
-        if a == 0 or (a > 0) == (b > 0):
-            positive = b > 0
-        else:
-            positive = (a > 0) == (a * a > b * b * self._D)
-        return self if positive else -self
-
-    # -- identity --------------------------------------------------------
-
-    def conjugate(self) -> "QuadExt":
-        return _ext(self._a, -self._b, self._c, self._D)
 
     def norm(self) -> Fraction:
         """Field norm (a^2 - b^2 D)/c^2 (product with the conjugate)."""
         a, b, c = self._a, self._b, self._c
         return Fraction(a * a - b * b * self._D, c * c)
+
+    # -- identity --------------------------------------------------------
 
     def __eq__(self, other):
         y = self._split(other)
@@ -238,9 +202,6 @@ class QuadExt:
         h = math.gcd(num, den)
         return hash((a // g, c // g, num // h, den // h))
 
-    def __bool__(self):
-        return True  # a + b*sqrt(D) with b != 0 is never zero
-
     def __float__(self):
         if self._D < 0:
             raise ValueError("negative discriminant has no real image")
@@ -248,14 +209,6 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
-
-
-def quadext(a, b, d) -> Fraction | QuadExt:
-    """a + b*sqrt(d), demoted to Fraction when b = 0."""
-    b = Fraction(b)
-    if b == 0:
-        return Fraction(a)
-    return QuadExt(a, b, d)
 
 
 def sqrt_scalar(x: Scalar) -> Scalar:

@@ -195,10 +195,6 @@ class MoebiusReport(NamedTuple):
     hypothesis_met: bool
     conclusion: Optional[bool]
 
-    @property
-    def holds(self) -> bool:
-        return (not self.hypothesis_met) or bool(self.conclusion)
-
 
 def moebius_check(xs: Sequence[ConicParam], ys: Sequence[ConicParam]) -> MoebiusReport:
     """Collinearity theorem for two n-gons inscribed in the conic.
@@ -241,10 +237,6 @@ class DualMoebiusReport(NamedTuple):
     hypothesis_met: bool
     conclusion: Optional[bool]
     primal: MoebiusReport
-
-    @property
-    def holds(self) -> bool:
-        return (not self.hypothesis_met) or bool(self.conclusion)
 
     @property
     def agrees_with_primal(self) -> bool:

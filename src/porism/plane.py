@@ -197,12 +197,6 @@ class _ProjTriple:
             return self._coords
         return _entries(self._pairs, self._D)
 
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -538,10 +532,6 @@ class MobiusMap:
     @classmethod
     def from_mat2(cls, m: Mat2) -> "MobiusMap":
         return cls(m.a, m.b, m.c, m.d)
-
-    @classmethod
-    def identity(cls) -> "MobiusMap":
-        return cls(1, 0, 0, 1)
 
     def is_identity_class(self) -> bool:
         return is_scalar_multiple_of_identity(self.mat)

@@ -9,7 +9,6 @@ fixed-precision formatting so identical inputs give identical bytes.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .conic import veronese
 from .scene import SceneDocument

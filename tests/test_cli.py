@@ -236,7 +236,7 @@ def test_scene_commands_load_neither_suites_nor_dataclasses(tmp_path):
 def test_star_import_binds_every_export():
     namespace = {}
     exec("from porism import *", namespace)
-    assert len(porism.__all__) == 81
+    assert len(porism.__all__) == 77
     assert set(porism.__all__) <= set(namespace)
     assert set(porism.__all__) <= set(dir(porism))
     from porism import closure, svg

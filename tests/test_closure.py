@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from porism.algebra import Mat2, is_scalar_multiple_of_identity, mat2_power, pn_polynomial
+from porism.algebra import Mat2, is_scalar_multiple_of_identity, pn_polynomial
 from porism.closure import (
     LineConfiguration,
     ValidityReport,
@@ -45,7 +45,7 @@ from porism.errors import (
     MixedBackend,
     NotClosed,
 )
-from porism.fields import QuadExt, quadext
+from porism.fields import QuadExt
 from porism.involution import fregier
 from porism.plane import (
     INFINITY,
@@ -63,7 +63,9 @@ from porism.plane import (
     mobius_compose,
     point_on_line,
 )
+from porism.scene import SceneDocument
 from porism.suites import SPAN
+from porism.svg import render_scene
 
 F = Fraction
 
@@ -295,6 +297,16 @@ def test_dual_chain_over_an_extension_configuration_frozen():
     assert veronese(chain.params[2]) == ProjPoint(1, QuadExt(27, 4, 2), QuadExt(761, 216, 2))
 
 
+def test_a_chain_over_an_extension_configuration_renders():
+    # the SVG places Q(sqrt 2) lines and chain points through QuadExt.__float__
+    doc = SceneDocument.from_configuration(
+        SQRT2_CONFIG, chains=[dual_chain(SQRT2_CONFIG, ConicParam(F(3))).params]
+    )
+    svg = render_scene(doc)
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+    assert svg.count('class="cfgline"') == 3 and svg.count('class="vertex"') == 7
+
+
 def test_dual_chain_refuses_a_second_radicand():
     with pytest.raises(MixedBackend):
         dual_chain(SQRT2_CONFIG, ConicParam(QuadExt(1, 1, 3)))
@@ -365,7 +377,7 @@ def test_dual_chain_from_extension_starts(generator, n, seed, point, pick):
 
 
 small = st.integers(-4, 4)
-over_sqrt2 = st.builds(lambda a, b: quadext(a, b, 2), small, small)
+over_sqrt2 = st.builds(lambda a, b: a + b * QuadExt(0, 1, 2), small, small)
 
 
 @settings(max_examples=60, deadline=None)
@@ -496,8 +508,16 @@ def test_primal_chain_float_backend():
 
 
 def test_primal_chain_float_inside_start_raises():
-    with pytest.raises(FieldInsufficient):
+    with pytest.raises(FieldInsufficient, match="float backend's reach"):
         primal_chain(X0_CONFIG.as_float(), ProjPoint(2.0, 0.5, 2.0))
+
+
+def test_primal_chain_names_the_field_an_exact_start_leaves():
+    # the tangent discriminant 20 + 16 sqrt(2) from this start is no square
+    # in Q(sqrt 2); no float is involved
+    start = point_on_line(SQRT2_CONFIG.lines[0], ConicParam(F(1)))
+    with pytest.raises(FieldInsufficient, match=r"outside Q\(sqrt\(2\)\)$"):
+        primal_chain(SQRT2_CONFIG, start)
 
 
 def test_primal_dual_transport():
@@ -1075,7 +1095,9 @@ def test_two_line_closure_matches_polynomial_criterion(n, x):
     # P_{n-1}(x) = 0 makes the n-th power scalar; minimal closure needs every
     # intermediate P_k to miss zero as well (P_1(0) = 0 kills x = 0 at n = 4)
     scalar_at_n = pn_polynomial(n - 1)(x) == 0
-    power = mat2_power(TwoLineSystem.at(x).step, n)
+    step, power = TwoLineSystem.at(x).step, Mat2.identity()
+    for _ in range(n):
+        power = step * power
     assert is_scalar_multiple_of_identity(power) == scalar_at_n
     if scalar_at_n:
         assert pn_polynomial(n - 2)(x) != 0

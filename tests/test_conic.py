@@ -11,10 +11,8 @@ from porism.conic import (
     line_conic_params,
     on_conic,
     other_tangent_param,
-    parameter_of,
     polar,
     pole,
-    second_intersection,
     tangency_discriminant,
     tangent_at,
     tangents_from,
@@ -23,7 +21,6 @@ from porism.conic import (
 from porism.errors import (
     EqualParameters,
     NotIncident,
-    NotOnConic,
     PointOnConic,
 )
 from porism.fields import QuadExt, sqrt_scalar
@@ -65,18 +62,6 @@ def test_veronese_of_a_rational_parameter_is_the_normalized_point(t):
     assert (point._coords, point._pairs, point._D, point.kind) == (
         normalized._coords, normalized._pairs, normalized._D, normalized.kind
     )
-
-
-def test_parameter_of_frozen():
-    assert parameter_of(ProjPoint(1, 2, 4)) == ConicParam(Fraction(2))
-    assert parameter_of(ProjPoint(0, 0, 1)) == INFINITY
-    with pytest.raises(NotOnConic):
-        parameter_of(ProjPoint(1, 1, 2))
-
-
-@given(all_params)
-def test_parameter_of_inverts_veronese(t):
-    assert parameter_of(veronese(t)) == t
 
 
 def test_on_conic_frozen():
@@ -202,16 +187,20 @@ def test_line_conic_params_inverts_chord(s, t):
     assert set(roots.params) == {s, t}
 
 
-def test_second_intersection_frozen():
-    assert second_intersection(ProjLine(2, -3, 1), ConicParam(Fraction(1))) == ConicParam(
+def test_other_tangent_param_frozen():
+    # from the pole of a line, the tangents touch where the line meets the
+    # conic (La Hire), so the other tangent is the line's second intersection
+    assert other_tangent_param(pole(ProjLine(2, -3, 1)), ConicParam(Fraction(1))) == ConicParam(
         Fraction(2)
     )
-    assert second_intersection(tangent_at(ConicParam(Fraction(1))), ConicParam(Fraction(1))) == ConicParam(
+    # a point on the conic has one double tangent
+    assert other_tangent_param(veronese(ConicParam(Fraction(1))), ConicParam(Fraction(1))) == ConicParam(
         Fraction(1)
     )
-    assert second_intersection(ProjLine(0, 1, 0), ConicParam(Fraction(0))) == INFINITY
+    assert other_tangent_param(pole(ProjLine(0, 1, 0)), ConicParam(Fraction(0))) == INFINITY
+    assert other_tangent_param(pole(ProjLine(0, 1, 0)), INFINITY) == ConicParam(Fraction(0))
     with pytest.raises(NotIncident):
-        second_intersection(ProjLine(2, -3, 1), ConicParam(Fraction(5)))
+        other_tangent_param(pole(ProjLine(2, -3, 1)), ConicParam(Fraction(5)))
 
 
 def test_tangents_from_frozen():
@@ -258,10 +247,6 @@ float_coeffs = st.tuples(
 def test_float_vieta_keeps_the_affine_formula(coeffs):
     """Float roots keep -b/a - t bit for bit, not the homogeneous pair."""
     a, b, c = coeffs
-    l = ProjLine(c, b, a)
-    l0, l1, l2 = l.coords
-    for s in line_conic_params(l).params:
-        assert second_intersection(l, s).value == -l1 / l2 - s.value
     p = ProjPoint(a, -b / 2, c)
     x0, x1, _ = p.coords
     for t in tangents_from(p).params:
@@ -272,8 +257,6 @@ def test_float_roots_at_infinity_map_back():
     # the root at infinity of a float quadratic is the exact INFINITY
     l, p = ProjLine(1.0, 2.0, 0.0), ProjPoint(0.0, 1.0, 3.0)
     assert line_conic_params(l).params == (INFINITY, ConicParam(-0.5))
-    assert second_intersection(l, INFINITY) == ConicParam(-0.5)
-    assert second_intersection(l, ConicParam(-0.5)) == INFINITY
     assert tangents_from(p).params == (INFINITY, ConicParam(1.5))
     assert other_tangent_param(p, INFINITY) == ConicParam(1.5)
     assert other_tangent_param(p, ConicParam(1.5)) == INFINITY
@@ -340,14 +323,11 @@ def test_integer_lines_and_points_answer_exactly(line_coords, point_coords):
     assert _no_float(roots)
     assert (roots.params, roots.discriminant) == _ref_quadratic(l2, l1, l0)
     for s in roots.params:
-        other = second_intersection(l, s)
+        # the tangent at s passes through the pole of l (La Hire)
+        other = other_tangent_param(pole(l), s)
         assert _no_float(other) and other == _ref_second(l0, l1, l2, s)
-        back = parameter_of(veronese(s))
-        assert _no_float(back) and back == s
 
     if on_conic(p):
-        assert _no_float(parameter_of(p))
-        assert parameter_of(p) == (INFINITY if x0 == 0 else ConicParam(x1 / x0))
         return
     roots = tangents_from(p)
     assert _no_float(roots)
@@ -405,4 +385,5 @@ def test_mobius_action_and_cross_ratio_answer_exactly(entries, ts):
         assert all(isinstance(x, (int, QuadExt)) for x in l.coords)
         roots = line_conic_params(l)
         assert _no_float(roots) and set(roots.params) == {s, t}
-        assert second_intersection(l, s) == t and _no_float(second_intersection(l, s))
+        other = other_tangent_param(pole(l), s)
+        assert other == t and _no_float(other)

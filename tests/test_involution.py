@@ -275,7 +275,7 @@ def test_moebius_small_frozen():
         (ProjPoint(1, 0, -1), ProjPoint(1, 1, -1)),
     )
     report = moebius_check(xs, ys)
-    assert report.hypothesis_met and report.conclusion and report.holds
+    assert report.hypothesis_met and report.conclusion
     assert report.points[0] == centers[0]
     assert report.points[1] == centers[1]
     assert incident(line, report.points[-1])
@@ -289,7 +289,6 @@ def test_moebius_hypothesis_not_met_reported():
     report = moebius_check(ts, us)
     assert not report.hypothesis_met
     assert report.conclusion is None
-    assert report.holds  # vacuously
 
 
 def test_dual_moebius_agrees_with_primal():
