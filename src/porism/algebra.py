@@ -50,6 +50,12 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
     def __mul__(self, other):
         other = _as_poly(other)
         if other is None:

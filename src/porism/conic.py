@@ -108,27 +108,6 @@ def line_conic_params(l: ProjLine) -> ParamRoots:
     return _quadratic_params(l2, l1, l0)
 
 
-def _other_root(a, b, c, t: ConicParam) -> ConicParam:
-    """Given a root t of a u^2 + b uv + c v^2, the other one, via Vieta on
-    the pair (u : v) of t: (-(b v + a u) : a v), or (c u : -(b u + c v))
-    at v = 0. A float root keeps the affine -b/a - t, infinity when a = 0."""
-    u, v = t.pair()
-    if isinstance(u, float):
-        return INFINITY if a == 0 else ConicParam(-b / a - u)
-    if v:
-        return ConicParam._from_pair(-(b * v + a * u), a * v)
-    return ConicParam._from_pair(c * u, -(b * u + c * v))
-
-
-def _float_image(x, kind: str):
-    """x, or the float image of a rational x when kind is float: a float
-    quadratic's root at infinity is the exact INFINITY, whose point and
-    tangent are exact."""
-    if kind == "float" and x.kind == "exact" and x._pairs is None:
-        return type(x)(*(float(c) for c in x.coords))
-    return x
-
-
 def tangents_from(p: ProjPoint) -> ParamRoots:
     """Tangency parameters of the tangent lines through p, off the conic.
 
@@ -147,7 +126,17 @@ def other_tangent_param(p: ProjPoint, t_in: ConicParam) -> ConicParam:
     This is the workhorse of primal chains: it never leaves the field of the
     inputs, unlike tangents_from which may need a square root.
     """
-    if not incident(_float_image(tangent_at(t_in), p.kind), p):
+    tangent = tangent_at(t_in)
+    if p.kind == "float" and tangent.kind == "exact" and tangent._pairs is None:
+        # a float quadratic's root at infinity is the exact INFINITY
+        tangent = ProjLine(*(float(c) for c in tangent.coords))
+    if not incident(tangent, p):
         raise NotIncident(f"tangent at {t_in!r} does not pass through {p!r}")
     x0, x1, x2 = p.coords
-    return _other_root(x0, -2 * x1, x2, t_in)
+    a, b, c = x0, -2 * x1, x2  # the quadratic a u^2 + b uv + c v^2 in (u : v)
+    u, v = t_in.pair()
+    if isinstance(u, float):  # the affine root -b/a - t, infinity when a = 0
+        return INFINITY if a == 0 else ConicParam(-b / a - u)
+    if v:  # the pair (-(b v + a u) : a v), or (c u : -(b u + c v)) at v = 0
+        return ConicParam._from_pair(-(b * v + a * u), a * v)
+    return ConicParam._from_pair(c * u, -(b * u + c * v))

@@ -90,8 +90,8 @@ def share_fixed_point(u: FregierInvolution, v: FregierInvolution) -> bool:
     resultant of their fixed-point quadratics (no square roots needed)."""
     a1, b1, c1 = _fixed_point_quadratic(u.map)
     a2, b2, c2 = _fixed_point_quadratic(v.map)
-    res = (a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
-    return res == 0
+    r = a1 * c2 - a2 * c1
+    return r * r == (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
 
 
 def harmonic_product_test(u: FregierInvolution, v: FregierInvolution) -> bool:

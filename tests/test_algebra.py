@@ -22,6 +22,9 @@ def test_polynomial_evaluation_and_ops():
     assert (p + q)(Fraction(2)) == -1
     assert (p * q)(Fraction(3)) == -24
     assert (p - p)(Fraction(5)) == 0
+    # a scalar on either side of each operator, as in Mat2 entries mixing both
+    assert 1 - q == Polynomial([1, -1]) and q - 1 == -(1 - q)
+    assert Mat2(1, 0, q, -1).det() == Polynomial([-1])
 
 
 def test_polynomial_degree_and_equality():

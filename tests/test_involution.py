@@ -13,6 +13,7 @@ from porism.errors import (
     NotInvolution,
     SharedFixedPoint,
 )
+from porism.fields import QuadExt
 from porism.involution import (
     InvolutionChain,
     aligned_centers_involutive,
@@ -144,6 +145,21 @@ def test_harmonic_product_frozen():
         harmonic_product_test(u, u)
     assert share_fixed_point(u, u)
     assert not share_fixed_point(u, v)
+
+
+def test_harmonic_product_over_sqrt2_frozen():
+    # matrices with QuadExt entries: the resultant squares an extension element
+    r2 = QuadExt(0, 1, 2)
+    u = involution_from_fixed(ConicParam(r2), ConicParam(0))
+    w = involution_from_fixed(ConicParam(1), u(ConicParam(1)))  # fixes 1 and 1 + sqrt 2
+    assert u(ConicParam(1)) == ConicParam(r2 + 1)
+    assert harmonic_product_test(u, w)
+    assert not harmonic_product_test(u, involution_from_fixed(ConicParam(1), ConicParam(r2 - 1)))
+    shared = involution_from_fixed(ConicParam(r2), ConicParam(1))
+    assert share_fixed_point(u, shared) and share_fixed_point(shared, w)
+    with pytest.raises(SharedFixedPoint):
+        harmonic_product_test(u, shared)
+    assert not share_fixed_point(fregier(ProjPoint(1, 0, r2)), fregier(ProjPoint(1, 1, 3)))
 
 
 @given(params, params, params, params)
