@@ -26,6 +26,7 @@ from .errors import (
 )
 
 _CHAIN_TRIES = 60
+_NO_START = "could not sample an admissible start"
 # the roots of P_{n-1} are 2cos(k pi/n), k = 1 .. n-1; by Niven's theorem the
 # only rational ones are 0, 1 and -1, at k/n = 1/2, 1/3 and 2/3
 _RATIONAL_ROOTS = {Fraction(1, 2): 0, Fraction(1, 3): 1, Fraction(2, 3): -1}
@@ -33,26 +34,10 @@ _RATIONAL_ROOTS = {Fraction(1, 2): 0, Fraction(1, 3): 1, Fraction(2, 3): -1}
 
 def _dual_walk(config, rng: random.Random):
     """The dual chain of config from a seeded rational start."""
-    from .closure import _random_fraction, dual_chain
-    from .plane import ConicParam
+    from .closure import dual_chain
+    from .sampling import _random_param
 
-    return dual_chain(config, ConicParam(_random_fraction(rng, 60, 20)))
-
-
-def _walk_chains(walk, skip, starts: int) -> list:
-    """The chains of `starts` calls to walk(), each redrawn up to
-    _CHAIN_TRIES times while it raises one of the exceptions in skip."""
-    chains = []
-    for _ in range(starts):
-        for _ in range(_CHAIN_TRIES):
-            try:
-                chains.append(walk())
-                break
-            except skip:
-                continue
-        else:
-            raise GenerationExhausted("could not sample an admissible start")
-    return chains
+    return dual_chain(config, _random_param(rng, 60, 20))
 
 
 def cmd_verify(args) -> int:
@@ -72,6 +57,7 @@ def cmd_verify(args) -> int:
 def cmd_porism(args) -> int:
     from .closure import porism_holds, primal_chain
     from .plane import ConicParam, point_on_line
+    from .sampling import _redraw
     from .scene import load_scene
 
     scene = load_scene(args.scene)
@@ -88,7 +74,7 @@ def cmd_porism(args) -> int:
             return primal_chain(config, start)
 
         skip = (DegenerateStart, FieldInsufficient)
-    chains = _walk_chains(walk, skip, args.starts)
+    chains = [_redraw(walk, _CHAIN_TRIES, _NO_START, skip) for _ in range(args.starts)]
     closed = sum(chain.closed for chain in chains)
     agree = closed == (len(chains) if holds else 0)
     print(f"porism_holds={'true' if holds else 'false'}")
@@ -99,11 +85,12 @@ def cmd_porism(args) -> int:
 
 def cmd_construct(args) -> int:
     from .closure import generate_closing
+    from .sampling import _redraw
     from .scene import SceneDocument, save_scene
 
     config = generate_closing(args.n, args.seed)
     rng = random.Random(args.seed)
-    [chain] = _walk_chains(lambda: _dual_walk(config, rng), DegenerateStart, 1)
+    chain = _redraw(lambda: _dual_walk(config, rng), _CHAIN_TRIES, _NO_START, DegenerateStart)
     scene = SceneDocument.from_configuration(config, chains=[chain.params])
     save_scene(scene, args.out)
     print(f"wrote {args.n}-line closing scene to {args.out}")

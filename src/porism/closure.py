@@ -4,7 +4,8 @@ A configuration of n >= 2 lines, none tangent to the conic and meeting it in
 2n distinct points, either admits no inscribed-circumscribed 2n-gon or
 admits one through every admissible starting point. The decision reduces to
 a trace: compose the involutions centered at the poles of the lines; closure
-for all starts is exactly "that product is again an involution".
+for all starts is exactly "that product is again an involution". The seeded
+generators draw and admit their lines through sampling.py.
 
 Chains walk the configuration cyclically, twice around: the dual chain pushes
 a conic parameter through u_1, ..., u_n, u_1, ..., u_n; the primal chain
@@ -42,7 +43,6 @@ from .errors import (
     DegenerateStart,
     EqualParameters,
     FieldInsufficient,
-    GenerationExhausted,
     IdentityMap,
     InvalidConfiguration,
     MixedBackend,
@@ -56,7 +56,6 @@ from .plane import (
     ProjPoint,
     _pair_cross,
     _pairs_over,
-    _primitive,
     _repeats,
     _to_pairs,
     incident,
@@ -65,6 +64,7 @@ from .plane import (
     meet,
     point_on_line,
 )
+from .sampling import _admit, _budget, _random_param, _random_point, _redraw
 
 
 class ValidityReport(NamedTuple):
@@ -515,117 +515,69 @@ def concurrent_tangent_chain(
     )
 
 
-def _random_fraction(
-    rng: random.Random, span: int = 9, den_span: Optional[int] = None
-) -> Fraction:
-    """The seeded sampler every generator draws from: numerator in
-    [-span, span], denominator in [1, den_span], which defaults to span."""
-    return Fraction(rng.randint(-span, span), rng.randint(1, den_span or span))
-
-
-def _random_point(rng: random.Random, span: int = 9) -> ProjPoint:
-    """A point with _random_fraction coordinates, redrawn while all are zero.
-
-    It makes the same draws, numerator then denominator per coordinate,
-    and clears the denominators in ints: no Fraction is built."""
-    while True:
-        n0, d0 = rng.randint(-span, span), rng.randint(1, span)
-        n1, d1 = rng.randint(-span, span), rng.randint(1, span)
-        n2, d2 = rng.randint(-span, span), rng.randint(1, span)
-        if n0 or n1 or n2:
-            coords = (n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1)
-            return ProjPoint._from_primitive(_primitive(coords))
-
-
-def _admit(line: ProjLine, gathered: set) -> bool:
-    """Whether a rational line may join the lines gathered describes, adding
-    its description if so: it is not tangent, and its two conic parameters
-    avoid every gathered one (so it repeats no line). Validity is pairwise,
-    so lines admitted one at a time make a valid configuration.
-
-    Decided on ints by the discriminant l1^2 - 4 l0 l2 of l2 t^2 + l1 t + l0:
-    zero is a tangent; a square gives two rational roots, gathered as
-    coprime pairs; a non-square gives irrational roots whose minimal
-    polynomial over Q is the line's own quadratic, so only the same line
-    shares them, and the line's triple is gathered in their place."""
-    l0, l1, l2 = line._coords
-    disc = l1 * l1 - 4 * l0 * l2
-    r = math.isqrt(disc) if disc > 0 else 0
-    if r * r != disc:
-        keys = (line._coords,)
-    elif not disc:
-        return False
-    elif l2:
-        keys = (ConicParam._from_pair(-l1 + r, 2 * l2).pair(),
-                ConicParam._from_pair(-l1 - r, 2 * l2).pair())
-    else:  # infinity and -l0/l1
-        keys = ((1, 0), ConicParam._from_pair(-l0, l1).pair())
-    if not gathered.isdisjoint(keys):
-        return False
-    gathered.update(keys)
-    return True
-
-
-def generate_closing(n: int, seed: int, max_tries: int = 400) -> LineConfiguration:
+def generate_closing(n: int, seed: int, max_tries: Optional[int] = None) -> LineConfiguration:
     """A valid n-line configuration for which the porism holds, built by
     sampling n - 1 poles and completing with a point of the closing locus.
 
     A pole whose polar _admit rejects is redrawn alone, and a failed
-    completion starts a fresh candidate; max_tries bounds these rejected
-    draws, and the max_tries-th raises GenerationExhausted."""
+    completion starts a fresh candidate; max_tries (by default a budget that
+    grows with n) bounds these rejected draws, and the max_tries-th raises
+    GenerationExhausted."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
     members, gathered = [], set()
-    for _ in range(max_tries):
+
+    def candidate():
+        nonlocal members, gathered
         while len(members) < n - 1:
             center = _random_point(rng)
             if not _admit(polar(center), gathered):
-                break
+                return None
             members.append(fregier(center))
-        else:
-            chain, admitted = InvolutionChain(members), gathered
-            # whatever the completion gives, the next draw starts a fresh
-            # candidate, so that a degenerate locus cannot trap the loop
-            members, gathered = [], set()
-            try:
-                locus = closing_center_locus(chain)
-                t = ConicParam._from_pair(rng.randint(-9, 9), rng.randint(1, 9))
-                center = point_on_line(locus, t)
-                full = chain.extended(fregier(center))
-            except (CenterOnConic, IdentityMap):
-                continue
-            # the last center lies on the locus, so the product has trace
-            # zero: an involution unless it is the identity
-            if is_involution(full.product) and _admit(polar(center), admitted):
-                config = LineConfiguration([polar(f.center) for f in full.members])
-                # the pole of each polar is its center, so full is the
-                # configuration's pole-involution chain
-                config._chain = full
-                return config
-    raise GenerationExhausted(f"no closing configuration after {max_tries} tries")
+        chain, admitted = InvolutionChain(members), gathered
+        # whatever the completion gives, the next draw starts a fresh
+        # candidate, so that a degenerate locus cannot trap the loop
+        members, gathered = [], set()
+        center = point_on_line(closing_center_locus(chain), _random_param(rng))
+        full = chain.extended(fregier(center))
+        # the last center lies on the locus, so the product has trace
+        # zero: an involution unless it is the identity
+        if is_involution(full.product) and _admit(polar(center), admitted):
+            config = LineConfiguration([polar(f.center) for f in full.members])
+            # the pole of each polar is its center, so full is the
+            # configuration's pole-involution chain
+            config._chain = full
+            return config
+
+    tries = _budget(n, max_tries)
+    return _redraw(candidate, tries, f"no closing configuration after {tries} tries",
+                   (CenterOnConic, IdentityMap))
 
 
-def random_configuration(n: int, seed: int, max_tries: int = 400) -> LineConfiguration:
+def random_configuration(n: int, seed: int, max_tries: Optional[int] = None) -> LineConfiguration:
     """A valid n-line configuration with unconstrained poles; the porism
     generically fails on these. Validity keeps the poles off the conic: a
     pole on the conic is the pole of a tangent member.
 
-    A pole whose polar _admit rejects is redrawn alone; max_tries bounds
-    these rejected draws, and the max_tries-th raises GenerationExhausted."""
+    A pole whose polar _admit rejects is redrawn alone; max_tries (by
+    default a budget that grows with n) bounds these rejected draws, and
+    the max_tries-th raises GenerationExhausted."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
     lines, gathered = [], set()
-    for _ in range(max_tries):
+
+    def grow():
         while len(lines) < n:
             line = polar(_random_point(rng))
             if not _admit(line, gathered):
-                break
+                return None
             lines.append(line)
-        else:
-            return LineConfiguration(lines)
-    raise GenerationExhausted(f"no valid configuration after {max_tries} tries")
+        return LineConfiguration(lines)
+
+    tries = _budget(n, max_tries)
+    return _redraw(grow, tries, f"no valid configuration after {tries} tries")
 
 
 class TwoLineSystem(NamedTuple):

@@ -155,8 +155,9 @@ def parse(text: str) -> SceneDocument:
 
 
 def save_scene(scene: SceneDocument, path: str):
+    text = serialize(scene)  # before the open, so that a failure leaves path as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(scene))
+        fh.write(text)
 
 
 def load_scene(path: str) -> SceneDocument:

@@ -1,7 +1,8 @@
 """Seeded property suites over random exact instances.
 
-Each suite splits into a generator (rng -> instance, resampling internally
-until the instance is degeneracy-free) and a pure check (instance -> bool).
+Each suite splits into a generator (rng -> instance, redrawn by
+sampling._redraw until the instance is degeneracy-free) and a pure check
+(instance -> bool).
 A trial failure records the per-trial seed, and replaying that seed alone
 rebuilds the identical instance and verdict, so failures travel well.
 
@@ -17,8 +18,8 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Union
 
 from .algebra import det3
-from .closure import _random_fraction, _random_point, concurrent_tangent_chain
-from .conic import on_conic
+from .closure import concurrent_tangent_chain
+from .conic import line_conic_params, on_conic
 from .errors import (
     CenterOnConic,
     DegenerateConstruction,
@@ -50,6 +51,7 @@ from .plane import (
     join,
     point_on_line,
 )
+from .sampling import _random_param, _random_point, _redraw
 
 GOLDEN = 0x9E3779B97F4A7C15
 MAX_RESAMPLES = 200
@@ -67,24 +69,13 @@ class ResampleTally:
     resamples: int = 0
 
 
-def _bump(tally: Optional[ResampleTally], discarded: int) -> None:
-    if tally is not None and discarded:
-        tally.resamples += discarded
-
-
-def _distinct_params(rng: random.Random, count: int, span: int = SPAN):
-    seen = set()
-    out = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 50 * count:
-            raise GenerationExhausted("cannot sample distinct parameters")
-        t = ConicParam(_random_fraction(rng, span))
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+def _distinct_params(rng: random.Random, count: int) -> list:
+    drawn = {}
+    for _ in range(50 * count):
+        drawn[_random_param(rng, SPAN)] = None
+        if len(drawn) == count:
+            return list(drawn)
+    raise GenerationExhausted("cannot sample distinct parameters")
 
 
 def _random_secant_line(rng: random.Random) -> ProjLine:
@@ -120,25 +111,22 @@ def _harmonic_fourth(a: Fraction, b: Fraction, c: Fraction) -> Optional[Fraction
 def make_two_instance(
     rng: random.Random, tally: Optional[ResampleTally] = None
 ) -> TwoInvolutionInstance:
-    for attempt in range(MAX_RESAMPLES):
+    def draw():
         t1, t2, t3 = (t.value for t in _distinct_params(rng, 3))
         t4 = _harmonic_fourth(t1, t2, t3)
         if t4 is None or t4 in (t1, t2, t3):
-            continue
+            return None
         pair_a = (ConicParam(t1), ConicParam(t2))
         pair_b = (ConicParam(t3), ConicParam(t4))
         u = involution_from_fixed(*pair_a)
         locus = closing_center_locus(InvolutionChain([u]))
-        s = ConicParam(_random_fraction(rng, SPAN))
+        s = _random_param(rng, SPAN)
         center = point_on_line(locus, s)
-        if on_conic(center):
-            continue
-        v = fregier(center)
-        if share_fixed_point(u, v):
-            continue
-        _bump(tally, attempt)
+        if on_conic(center) or share_fixed_point(u, fregier(center)):
+            return None
         return TwoInvolutionInstance(pair_a, pair_b, s)
-    raise GenerationExhausted("two-involution sampling kept degenerating")
+
+    return _redraw(draw, MAX_RESAMPLES, "two-involution sampling kept degenerating", tally=tally)
 
 
 def check_two(instance: TwoInvolutionInstance) -> bool:
@@ -197,16 +185,15 @@ def make_aligned_instance(
     length: Optional[int] = None,
     tally: Optional[ResampleTally] = None,
 ) -> AlignedInstance:
-    for attempt in range(MAX_RESAMPLES):
+    def draw():
         k = length if length is not None else rng.choice((3, 5, 7))
         line = _random_secant_line(rng)
         params = _distinct_params(rng, k)
-        centers = [point_on_line(line, s) for s in params]
-        if any(on_conic(c) for c in centers):
-            continue
-        _bump(tally, attempt)
+        if any(on_conic(point_on_line(line, s)) for s in params):
+            return None
         return AlignedInstance(line, tuple(params))
-    raise GenerationExhausted("aligned-center sampling kept degenerating")
+
+    return _redraw(draw, MAX_RESAMPLES, "aligned-center sampling kept degenerating", tally=tally)
 
 
 def _aligned_chain(instance: AlignedInstance) -> InvolutionChain:
@@ -252,29 +239,23 @@ def make_moebius_instance(
     n: Optional[int] = None,
     tally: Optional[ResampleTally] = None,
 ) -> MoebiusInstance:
-    for attempt in range(MAX_RESAMPLES):
+    def draw():
         size = n if n is not None else rng.choice((3, 4, 5, 6))
         line = _random_secant_line(rng)
         params = _distinct_params(rng, size - 1)
-        centers = [point_on_line(line, s) for s in params]
-        if any(on_conic(c) for c in centers):
-            continue
+        if any(on_conic(point_on_line(line, s)) for s in params):
+            return None
         seeds = _distinct_params(rng, 2)
         instance = MoebiusInstance(size, line, tuple(params), tuple(seeds))
-        try:
-            xs, ys, _ = _moebius_polygons(instance)
-        except CenterOnConic:
-            continue
+        xs, ys, _ = _moebius_polygons(instance)
         if len(set(xs + ys)) != 2 * size:
-            continue
-        try:
-            moebius_check(xs, ys)
-            dual_moebius_check(tuple(xs) + tuple(ys))
-        except (DegenerateConstruction, DegeneratePolygon):
-            continue
-        _bump(tally, attempt)
+            return None
+        moebius_check(xs, ys)  # a degenerate construction or polygon raises
+        dual_moebius_check(tuple(xs) + tuple(ys))
         return instance
-    raise GenerationExhausted("inscribed-polygon sampling kept degenerating")
+
+    return _redraw(draw, MAX_RESAMPLES, "inscribed-polygon sampling kept degenerating",
+                   (CenterOnConic, DegenerateConstruction, DegeneratePolygon), tally)
 
 
 def check_moebius(instance: MoebiusInstance) -> bool:
@@ -313,37 +294,27 @@ def make_dalignes_instance(
     count: Optional[int] = None,
     tally: Optional[ResampleTally] = None,
 ) -> DalignesInstance:
-    from .conic import line_conic_params
-
-    for attempt in range(MAX_RESAMPLES):
+    def draw():
         m = count if count is not None else rng.choice((3, 5))
         apex = _random_point(rng, SPAN)
-        lines = []
-        seen = set()
-        guard = 0
-        while len(lines) < m and guard < 50 * m:
-            guard += 1
+        pencil = {}  # an ordered set
+        for _ in range(50 * m):
             other = _random_point(rng, SPAN)
-            if other == apex:
-                continue
-            l = join(apex, other)
-            if l in seen or line_conic_params(l).double:
-                continue
-            seen.add(l)
-            lines.append(l)
-        if len(lines) < m:
-            continue
-        start = point_on_line(lines[0], ConicParam(_random_fraction(rng, SPAN)))
+            if other != apex and not line_conic_params(l := join(apex, other)).double:
+                pencil[l] = None
+                if len(pencil) == m:
+                    break
+        else:
+            return None
+        lines = tuple(pencil)
+        start = point_on_line(lines[0], _random_param(rng, SPAN))
         if on_conic(start) or any(incident(l, start) for l in lines[1:]):
-            continue
-        instance = DalignesInstance(tuple(lines), start)
-        try:
-            concurrent_tangent_chain(instance.lines, instance.start)
-        except DegenerateStart:
-            continue
-        _bump(tally, attempt)
-        return instance
-    raise GenerationExhausted("concurrent-pencil sampling kept degenerating")
+            return None
+        concurrent_tangent_chain(lines, start)  # DegenerateStart is a rejection
+        return DalignesInstance(lines, start)
+
+    return _redraw(draw, MAX_RESAMPLES, "concurrent-pencil sampling kept degenerating",
+                   DegenerateStart, tally)
 
 
 def check_dalignes(instance: DalignesInstance) -> bool:

@@ -10,9 +10,6 @@ from porism.algebra import Mat2, is_scalar_multiple_of_identity, pn_polynomial
 from porism.closure import (
     LineConfiguration,
     ValidityReport,
-    _admit,
-    _random_fraction,
-    _random_point,
     _repeats,
     TwoLineSystem,
     concurrent_tangent_chain,
@@ -63,6 +60,7 @@ from porism.plane import (
     mobius_compose,
     point_on_line,
 )
+from porism.sampling import _admit, _random_param, _random_point
 from porism.scene import SceneDocument
 from porism.suites import SPAN
 from porism.svg import render_scene
@@ -615,6 +613,15 @@ def test_generate_closing_at_n_128():
     assert config.report.valid and porism_holds(LineConfiguration(config.lines))
 
 
+def test_generators_at_n_4096():
+    # the default budget grows with n: 400 tries, the old default, fell
+    # short from about n = 2048 on
+    closing, opened = generate_closing(4096, 0), random_configuration(4096, 0)
+    assert closing.n == opened.n == 4096
+    assert closing.report.valid and opened.report.valid
+    assert porism_holds(LineConfiguration(closing.lines)) and not porism_holds(opened)
+
+
 # outputs that a generator accepting its first candidate gives, so redrawing
 # one pole at a time must not change them
 GENERATOR_DIGESTS = {
@@ -670,7 +677,7 @@ def test_random_point_draws_three_random_fractions(span, seed):
     rng, twin = random.Random(seed), random.Random(seed)
     point = _random_point(rng, span)
     while True:
-        coords = tuple(_random_fraction(twin, span) for _ in range(3))
+        coords = tuple(_random_param(twin, span).value for _ in range(3))
         if any(coords):
             break
     assert point == ProjPoint(*coords)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from porism.errors import ParseError
+from porism.fields import QuadExt
 from porism.plane import INFINITY, ConicParam, ProjLine, ProjPoint
 from porism.closure import LineConfiguration, dual_chain
 from porism.scene import (
@@ -177,6 +178,16 @@ def test_save_load_round_trip(tmp_path):
     path = str(tmp_path / "scene.txt")
     save_scene(X0_SCENE, path)
     assert load_scene(path) == X0_SCENE
+
+
+def test_save_scene_that_fails_to_serialize_leaves_the_file(tmp_path):
+    path = tmp_path / "scene.txt"
+    save_scene(X0_SCENE, str(path))
+    before = path.read_text(encoding="utf-8")
+    chord_over_sqrt2 = (ConicParam(QuadExt(0, 1, 2)), ConicParam(QuadExt(0, -1, 2)))
+    with pytest.raises(ParseError):
+        save_scene(X0_SCENE._replace(chains=(chord_over_sqrt2,)), str(path))
+    assert path.read_text(encoding="utf-8") == before
 
 
 def test_from_configuration():
