@@ -11,17 +11,19 @@ Chains walk the configuration cyclically, twice around: the dual chain pushes
 a conic parameter through u_1, ..., u_n, u_1, ..., u_n; the primal chain
 traces the polar polygon with vertices on L_1, L_2, ..., L_n, L_1, ..., L_n
 and edges tangent to the conic. By La Hire a vertex on L_k sees the tangents
-at t and u_k(t), so exact walks share one loop (_walk_keys) on integers over
-one radicand D: a parameter is the key (u0, u1, v) of (u0 + u1 sqrt(D))/v,
-which each step takes from its pair by one conjugate step and one gcd. The
-primal walk adds one meet per vertex; public values are built from the keys.
+at t and u_k(t), so one walker (_tangent_walk) steps the primal and pencil
+walks of both backends by the maps u_k read off the lines (_line_maps).
+Exact walks share one loop (_walk_keys) on integers over one radicand D: a
+parameter is the key (u0, u1, v) of (u0 + u1 sqrt(D))/v, which each step
+takes from its pair by one conjugate step and one gcd; public values are
+built from the keys.
 """
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Mat2, is_scalar_multiple_of_identity
 from .conic import (
@@ -29,7 +31,6 @@ from .conic import (
     is_tangent,
     line_conic_params,
     on_conic,
-    other_tangent_param,
     polar,
     pole,
     tangency_discriminant,
@@ -38,8 +39,6 @@ from .conic import (
 )
 from .errors import (
     CenterOnConic,
-    CoincidentLines,
-    CoincidentPoints,
     DegenerateStart,
     EqualParameters,
     FieldInsufficient,
@@ -54,14 +53,13 @@ from .plane import (
     ConicParam,
     ProjLine,
     ProjPoint,
+    _cross,
     _pair_cross,
     _pairs_over,
     _repeats,
-    _to_pairs,
     incident,
     is_involution,
     join,
-    meet,
     point_on_line,
 )
 from .sampling import _admit, _budget, _random_param, _random_point, _redraw
@@ -207,17 +205,6 @@ class PolygonChain(NamedTuple):
     steps: int
 
 
-def _conjugate_step(ua: int, ub: int, va: int, vb: int, D: int) -> tuple:
-    """The parameter (ua + ub sqrt(D) : va + vb sqrt(D)) as ints (u0, u1, v)
-    of (u0 + u1 sqrt(D))/v, not reduced: times the conjugate of V, which
-    makes V rational. Infinity (V = 0) is (1, 0, 0), and a rational
-    parameter has u1 = 0."""
-    v = va * va - vb * vb * D
-    if not v:
-        return 1, 0, 0
-    return ua * va - ub * vb * D, ub * va - ua * vb, v
-
-
 def _key_param(key: tuple, D: int) -> ConicParam:
     """The parameter of a key over sqrt(D)."""
     u0, u1, v = key
@@ -240,43 +227,35 @@ def _key_of(t: ConicParam, D: int) -> Optional[tuple]:
     return x._a, x._b, x._c
 
 
-def _integer_maps(chain: InvolutionChain) -> tuple:
-    """(D, maps): the one radicand of the members' entries (0 when all are
-    rational), and each member [[a, b], [c, -a]] as the five ints
-    (a, b0, b1, c0, c1) of a multiple with b = b0 + b1 sqrt(D), c likewise:
-    a member is an involution, and its canonical lead a is rational."""
-    mats = [f.map.mat for f in chain.members]
-    radicands = {x._D for m in mats for x in (m.b, m.c) if type(x) is QuadExt}
-    if len(radicands) > 1:
-        raise MixedBackend(f"configuration over the radicands {sorted(radicands)}")
-    if not radicands:  # rational maps are integer matrices
-        return 0, tuple((m.a, m.b, 0, m.c, 0) for m in mats)
-    pairs = [_to_pairs((m.a, m.b, m.c)) for m in mats]
-    return radicands.pop(), tuple((a, *b, *c) for (a, _), b, c in pairs)
-
-
-def _config_maps(config: LineConfiguration) -> tuple:
-    """_integer_maps of the configuration's pole involutions, read once."""
-    if config._maps is None:
-        config._maps = _integer_maps(pole_involutions(config))
-    return config._maps
+def _line_maps(line_pairs: Sequence[tuple]) -> tuple:
+    """The involution at the pole (2 l2 : -l1 : 2 l0) of each line, read off
+    its integer pairs over sqrt(D) as [[-l1, -2 l0], [2 l2, l1]] up to a
+    scalar: the six ints (a0, a1, b0, b1, c0, c1) of [[a, b], [c, -a]]
+    with a = a0 + a1 sqrt(D), b and c likewise."""
+    return tuple(
+        (-x1, -y1, -2 * x0, -2 * y0, 2 * x2, 2 * y2)
+        for (x0, y0), (x1, y1), (x2, y2) in line_pairs
+    )
 
 
 def _walk_keys(maps: tuple, D: int, key: tuple, order: Sequence[int]) -> list:
     """The keys of a parameter pushed through maps[i] for each i in order,
     the start's first: the one loop that steps an exact parameter. A rational
-    map acts on a rational key in plain ints, any other step on pairs."""
+    map acts on a rational key in plain ints. Any other step gives a pair
+    (P : Q) over sqrt(D) and multiplies it by the conjugate of Q, which
+    makes Q rational, and so the map's scalar, which the gcd removes;
+    infinity (Q = 0) is (1, 0, 0)."""
     keys = [key]
     u0, u1, v = key
     for i in order:
-        a, b0, b1, c0, c1 = maps[i]
-        if u1 or b1 or c1:
-            p, p1, q = _conjugate_step(
-                a * u0 + b0 * v, a * u1 + b1 * v,
-                c0 * u0 + c1 * u1 * D - a * v, c0 * u1 + c1 * u0, D,
-            )
+        a0, a1, b0, b1, c0, c1 = maps[i]
+        if u1 or a1 or b1 or c1:
+            pa, pb = a0 * u0 + a1 * u1 * D + b0 * v, a0 * u1 + a1 * u0 + b1 * v
+            qa, qb = c0 * u0 + c1 * u1 * D - a0 * v, c0 * u1 + c1 * u0 - a1 * v
+            q = qa * qa - qb * qb * D
+            p, p1 = (pa * qa - pb * qb * D, pb * qa - pa * qb) if q else (1, 0)
         else:
-            p, p1, q = a * u0 + b0 * v, 0, c0 * u0 - a * v
+            p, p1, q = a0 * u0 + b0 * v, 0, c0 * u0 - a0 * v
         g = math.gcd(p, p1, q)
         if (q or p) < 0:  # v > 0, and infinity is (1, 0, 0)
             g = -g
@@ -289,15 +268,22 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
     """Push a conic parameter through the pole involutions, twice around.
 
     The walk runs on integer keys (_walk_keys) over one radicand D, that of
-    the configuration or else of the start. The member maps, and per D the
-    keys of the configuration parameters, are read once per configuration;
-    each ConicParam is built once, at the end. A float start or
-    configuration raises MixedBackend."""
+    the configuration or else of the start. The member maps (over the lines'
+    radicand, or 0: rational pairs hold over any D), and per D the keys of
+    the configuration parameters, are read once per configuration; each
+    ConicParam is built once, at the end. A float start or configuration
+    raises MixedBackend."""
     u = start.pair()[0]
     if config.kind == "float" or type(u) is float:
         raise MixedBackend("dual chains walk exact parameters of exact configurations")
     _require_valid(config)
-    D, maps = _config_maps(config)
+    if config._maps is None:
+        radicands = {l._D for l in config.lines if l._D}
+        if len(radicands) > 1:
+            raise MixedBackend(f"configuration over the radicands {sorted(radicands)}")
+        D = radicands.pop() if radicands else 0
+        config._maps = D, _line_maps([_pairs_over(l, D) for l in config.lines])
+    D, maps = config._maps
     if not D and type(u) is QuadExt:
         D = u._D
     key = _key_of(start, D)
@@ -329,8 +315,7 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
 
 
 def _tangent_walk(
-    lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], branch: str,
-    integer_maps: Callable[[], tuple],
+    lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], branch: str
 ) -> tuple[list[ProjPoint], list[ConicParam]]:
     """The walk behind primal_chain and concurrent_tangent_chain: from a
     start vertex on lines[0], draw the tangent that branch selects, meet it
@@ -338,9 +323,12 @@ def _tangent_walk(
     other tangent. Returns the start plus one vertex per target, and the
     tangency parameters of the edges between them.
 
-    An exact walk (_exact_walk) steps its edges by the dual key loop through
-    the pole involutions of lines, as integer_maps() gives them (La Hire); a
-    float walk runs on the public constructions."""
+    The edges are the first tangent pushed through targets[:-1] by the maps
+    read off the lines (_line_maps), and each vertex is the meet of a line,
+    never tangent, with the tangent (U^2 : -2UV : V^2) at (U : V). An exact
+    walk steps keys over Q(sqrt D), the field of the first tangent (or of
+    the start or a line, or Q as D = 0), and meets on integer pairs; a float
+    walk steps t -> -(l1 t + 2 l0)/(2 l2 t + l1) on the float lines."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     if not incident(lines[0], start):
@@ -359,56 +347,42 @@ def _tangent_walk(
             f"tangent parameters from {start!r} need a square root outside {reach}"
         )
     t = roots.params[0 if branch == "first" else 1]
-    if start.kind == "exact":
-        return _exact_walk(lines, start, targets, t, integer_maps)
-    vertices, edge_params = [start], []
-    try:
-        for target in targets:
-            if edge_params:
-                t = other_tangent_param(vertices[-1], t)
-            if t.is_infinite:
-                raise DegenerateStart("float walk hit the parameter at infinity")
-            edge_params.append(t)
-            vertex = meet(tangent_at(t), lines[target])
-            if vertex == vertices[-1]:
-                raise DegenerateStart(f"stalled at {vertex!r}")
-            if on_conic(vertex):
-                raise DegenerateStart(f"vertex {vertex!r} fell on the conic")
-            vertices.append(vertex)
-    except (CoincidentLines, CoincidentPoints, EqualParameters) as exc:
-        raise DegenerateStart(str(exc)) from exc
-    return vertices, edge_params
-
-
-def _exact_walk(
-    lines: Sequence[ProjLine], start: ProjPoint, targets: Sequence[int], t: ConicParam,
-    integer_maps: Callable[[], tuple],
-) -> tuple[list[ProjPoint], list[ConicParam]]:
-    """_tangent_walk over Q(sqrt D), the field of the first tangent (or of
-    the start or a line, or Q itself as D = 0), on integer pairs. The vertex
-    on lines[k] sees the tangents at t and u_k(t) (La Hire), so the edges are
-    the keys of t through targets[:-1], and each vertex is the meet of a line,
-    never tangent, with the tangent (U^2 : -2UV : V^2) at (U : V) =
-    (u0 + u1 sqrt(D) : v). Each vertex and parameter is built once."""
     u = t.pair()[0]
     D = u._D if type(u) is QuadExt else start._D or next((l._D for l in lines if l._D), 0)
-    # before the maps, so that a line over a second radicand raises MixedBackend
+    # a line over a second radicand raises MixedBackend here
     line_pairs = [_pairs_over(l, D) for l in lines]
-    keys = _walk_keys(integer_maps()[1], D, _key_of(t, D), targets[:-1])
-    vertices = [start]
-    for (u0, u1, v), target in zip(keys, targets):
-        tangent = (
-            (u0 * u0 + u1 * u1 * D, 2 * u0 * u1),
-            (-2 * u0 * v, -2 * u1 * v),
-            (v * v, 0),
+    maps = _line_maps(line_pairs)
+    if start.kind == "exact":
+        keys = _walk_keys(maps, D, _key_of(t, D), targets[:-1])
+        params = [t, *(_key_param(k, D) for k in keys[1:])]
+        vertices = (
+            ProjPoint._from_pairs(_pair_cross(
+                ((u0 * u0 + u1 * u1 * D, 2 * u0 * u1), (-2 * u0 * v, -2 * u1 * v), (v * v, 0)),
+                line_pairs[target], D,
+            ), D)
+            for (u0, u1, v), target in zip(keys, targets)
         )
-        vertex = ProjPoint._from_pairs(_pair_cross(tangent, line_pairs[target], D), D)
-        if vertex == vertices[-1]:
+    else:
+        (x, w), ts = t.pair(), []
+        for target in targets:  # the edge into each vertex, then the one out
+            if not w:
+                raise DegenerateStart("float walk hit the parameter at infinity")
+            ts.append(x / w)
+            a, _, b, _, c, _ = maps[target]
+            x, w = a * ts[-1] + b, c * ts[-1] - a
+        params = [t, *map(ConicParam, ts[1:])]
+        vertices = (
+            ProjPoint(*_cross((x * x, -2 * x, 1.0), lines[target].coords))
+            for x, target in zip(ts, targets)
+        )
+    walked = [start]
+    for vertex in vertices:
+        if vertex == walked[-1]:
             raise DegenerateStart(f"stalled at {vertex!r}")
         if on_conic(vertex):
             raise DegenerateStart(f"vertex {vertex!r} fell on the conic")
-        vertices.append(vertex)
-    return vertices, [t, *(_key_param(k, D) for k in keys[1:])]
+        walked.append(vertex)
+    return walked, params
 
 
 def primal_chain(
@@ -431,13 +405,9 @@ def primal_chain(
             raise MixedBackend("exact start against a float configuration")
     n = config.n
     targets = [i % n for i in range(1, 2 * n + 1)]
-    vertices, edge_params = _tangent_walk(
-        lines, start, targets, branch, lambda: _config_maps(config)
-    )
+    vertices, edge_params = _tangent_walk(lines, start, targets, branch)
     closed = vertices[-1] == vertices[0]
-    return PolygonChain(
-        "primal", tuple(edge_params), tuple(vertices), closed, 2 * n
-    )
+    return PolygonChain("primal", tuple(edge_params), tuple(vertices), closed, 2 * n)
 
 
 def well_inscribed(chain: PolygonChain, config: LineConfiguration) -> bool:
@@ -499,10 +469,7 @@ def concurrent_tangent_chain(
         raise MixedBackend("start and lines from different backends")
     # P_2 .. P_{2m}, visiting the pencil cyclically
     targets = [i % m for i in range(1, 2 * m)]
-    vertices, edge_params = _tangent_walk(
-        lines, start, targets, branch,
-        lambda: _integer_maps(InvolutionChain([fregier(pole(l)) for l in lines])),
-    )
+    vertices, edge_params = _tangent_walk(lines, start, targets, branch)
     if vertices[-1] == vertices[0]:
         raise DegenerateStart("walk returned to the start vertex early")
     closing = join(vertices[-1], vertices[0])

@@ -123,8 +123,8 @@ def other_tangent_param(p: ProjPoint, t_in: ConicParam) -> ConicParam:
     """Given that tangent_at(t_in) passes through p, the other tangency
     parameter from p, via Vieta on p0 t^2 - 2 p1 t + p2 = 0.
 
-    This is the workhorse of primal chains: it never leaves the field of the
-    inputs, unlike tangents_from which may need a square root.
+    It never leaves the field of the inputs, unlike tangents_from, which may
+    need a square root.
     """
     tangent = tangent_at(t_in)
     if p.kind == "float" and tangent.kind == "exact" and tangent._pairs is None:

@@ -242,7 +242,8 @@ def _pairs_over(t: _ProjTriple, D: int) -> tuple:
     embeds with every b = 0, and one over another radicand raises
     MixedBackend."""
     if t._pairs is None:
-        return tuple((c, 0) for c in t._coords)
+        x0, x1, x2 = t._coords
+        return (x0, 0), (x1, 0), (x2, 0)
     if t._D != D:
         raise MixedBackend(f"triples over the radicands {t._D} and {D}")
     return t._pairs

@@ -117,6 +117,17 @@ def test_construct_then_porism_at_n_128(tmp_path, capsys):
     assert "chains closed: 20/20 (exact backend)" in capsys.readouterr().out
 
 
+def test_float_backend_closes_every_chain_at_n_32(tmp_path, capsys):
+    # the float walk steps each edge by the involution read off its line,
+    # so its chains stay inside the 1e-9 closure test at n = 32
+    path = str(tmp_path / "n32.scene")
+    assert main(["construct", "32", "--seed", "1", "--out", path]) == 0
+    assert main(["porism", path, "--backend", "float"]) == 0
+    out = capsys.readouterr().out
+    assert "chains closed: 20/20 (float backend)" in out
+    assert "agreement: ok" in out
+
+
 def test_construct_without_an_admissible_start_fails(tmp_path, capsys, monkeypatch):
     from porism import closure
     from porism.errors import DegenerateStart

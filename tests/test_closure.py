@@ -382,6 +382,7 @@ over_sqrt2 = st.builds(lambda a, b: a + b * QuadExt(0, 1, 2), small, small)
 @example([(2, SQRT2, 0), (1, 2, 3)], ConicParam(F(1, 3)))  # only c irrational
 @example([(2, 3, 2 * SQRT2), (3, 2, 1)], ConicParam(F(5)))  # only b irrational
 @example([(2, 4 * SQRT2, 8), (2, SQRT2, 0)], ConicParam(F(5)))
+@example([(2, 1 + SQRT2, 2 * SQRT2), (2, 5, 12)], ConicParam(F(5)))  # lead 2 + sqrt 2
 @given(st.lists(st.builds(lambda s, t: (2, s + t, 2 * s * t), over_sqrt2, over_sqrt2),
                 min_size=2, max_size=5),
        st.one_of(st.builds(lambda a, b: ConicParam(Fraction(a, b)), small, st.integers(1, 4)),
@@ -1014,6 +1015,58 @@ def test_exact_pencil_walk_is_the_public_tangent_walk(apex, m, others, point, br
         return closure.vertices, closure.edge_params
 
     _assert_tangent_walks_agree(walk, expected)
+
+
+def _float_image(x):
+    return type(x)(*(float(c) for c in x.coords))
+
+
+@st.composite
+def pencils(draw):
+    """3, 5 or 7 lines through one integer apex, none of them tangent."""
+    apex = ProjPoint(*draw(int_points))
+    m = draw(st.sampled_from([3, 5, 7]))
+    points = [ProjPoint(*x) for x in draw(st.lists(int_points, min_size=m, max_size=m))]
+    assume(apex not in points)
+    lines = [join(apex, p) for p in points]
+    assume(not any(line_conic_params(l).double for l in lines))
+    return lines
+
+
+closing_lines = st.builds(lambda n, seed: generate_closing(n, seed).lines,
+                          st.integers(2, 8), st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(st.just("primal"), closing_lines),
+                 st.tuples(st.just("pencil"), pencils())),
+       st.fractions(max_denominator=9), branches)
+def test_float_walks_track_the_exact_walks(case, point, branch):
+    # from the float images of the start and lines, a float walk gives the
+    # exact verdict, and each vertex lies within 1e-9 of the float image of
+    # the exact vertex, up to sign; a case where either side raises
+    # DegenerateStart or FieldInsufficient is skipped
+    mode, lines = case
+
+    def walk(start, lines):
+        if mode == "pencil":
+            closure = concurrent_tangent_chain(lines, start, branch)
+            return closure.vertices, closure.closing_tangent
+        chain = primal_chain(LineConfiguration(lines), start, branch)
+        return chain.vertices, chain.closed
+
+    start = point_on_line(lines[0], ConicParam(point))
+    try:
+        exact, verdict = walk(start, lines)
+        got, float_verdict = walk(_float_image(start), [_float_image(l) for l in lines])
+    except (DegenerateStart, FieldInsufficient):
+        return
+    assert float_verdict == verdict
+    assert len(got) == len(exact)
+    for vertex, twin in zip(got, exact):
+        image = _float_image(twin).coords
+        gap = min(max(abs(a - s * b) for a, b in zip(vertex.coords, image)) for s in (1, -1))
+        assert gap <= 1e-9, (vertex, twin)
 
 
 def test_exact_walk_builds_no_fraction(no_fraction_built):
