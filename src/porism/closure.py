@@ -4,8 +4,10 @@ A configuration of n >= 2 lines, none tangent to the conic and meeting it in
 2n distinct points, either admits no inscribed-circumscribed 2n-gon or
 admits one through every admissible starting point. The decision reduces to
 a trace: compose the involutions centered at the poles of the lines; closure
-for all starts is exactly "that product is again an involution". The seeded
-generators draw and admit their lines through sampling.py.
+for all starts is exactly "that product is again an involution", which
+porism_holds decides by the trace of the product of the maps read off the
+lines (_line_maps). The seeded generators draw and admit their lines
+through sampling.py.
 
 Chains walk the configuration cyclically, twice around: the dual chain pushes
 a conic parameter through u_1, ..., u_n, u_1, ..., u_n; the primal chain
@@ -16,7 +18,8 @@ walks of both backends by the maps u_k read off the lines (_line_maps).
 Exact walks share one loop (_walk_keys) on integers over one radicand D: a
 parameter is the key (u0, u1, v) of (u0 + u1 sqrt(D))/v, which each step
 takes from its pair by one conjugate step and one gcd; public values are
-built from the keys.
+built from the keys. A rational step reduces by the map's determinant
+first, so no gcd runs on two walk-sized operands.
 """
 from __future__ import annotations
 
@@ -55,6 +58,7 @@ from .plane import (
     ProjPoint,
     _cross,
     _pair_cross,
+    _pair_dot,
     _pairs_over,
     _repeats,
     incident,
@@ -79,10 +83,11 @@ class ValidityReport(NamedTuple):
 
 
 class LineConfiguration:
-    """An ordered tuple of n >= 2 pairwise distinct lines with cached poles,
-    pole-involution chain, validity and set of intersection parameters.
-    Valid means: no member tangent to the conic, and the 2n intersection
-    parameters pairwise distinct (in extension where needed)."""
+    """An ordered tuple of n >= 2 pairwise distinct lines, of one backend and
+    at most one radicand, with cached poles, pole-involution chain, maps,
+    validity and set of intersection parameters. Valid means: no member
+    tangent to the conic, and the 2n intersection parameters pairwise
+    distinct (in extension where needed)."""
 
     __slots__ = ("lines", "_report", "_poles", "_chain", "_maps", "_forbidden")
 
@@ -92,6 +97,9 @@ class LineConfiguration:
             raise InvalidConfiguration("need at least two lines")
         if len({l.kind for l in lines}) != 1:
             raise MixedBackend("configuration lines from different backends")
+        radicands = {l._D for l in lines if l._D}
+        if len(radicands) > 1:
+            raise MixedBackend(f"configuration over the radicands {sorted(radicands)}")
         repeated = _repeats(lines)
         if repeated:
             raise InvalidConfiguration(f"repeated line {repeated[0]!r}")
@@ -182,8 +190,30 @@ def pole_involutions(config: LineConfiguration) -> InvolutionChain:
 
 def porism_holds(config: LineConfiguration) -> bool:
     """Whether the closure porism holds: the pole-involution product
-    u_n ... u_1 is itself an involution (trace zero and not the identity)."""
-    return is_involution(pole_involutions(config).product)
+    u_n ... u_1 is itself an involution.
+
+    Decided by "trace == 0" on the product of the maps read off the lines
+    (_config_maps), composed in ints over sqrt(D): the maps are nonsingular,
+    so a trace-zero product is never scalar. A float configuration raises
+    MixedBackend."""
+    _require_valid(config)
+    if config.kind == "float":
+        raise MixedBackend("the porism is decided on exact configurations")
+    D, maps = _config_maps(config)
+    (a0, a1, b0, b1, c0, c1, _), *rest = maps
+    if not D:  # rational maps [[p, q], [r, -p]] on plain ints
+        a, b, c, d = a0, b0, c0, -a0
+        for p, _, q, _, r, _, _ in rest:
+            a, b, c, d = p * a + q * c, p * b + q * d, r * a - p * c, r * b - p * d
+        return a + d == 0
+    # over sqrt(D): rows and columns as pair triples padded with a zero
+    a, b, c, d = (a0, a1), (b0, b1), (c0, c1), (-a0, -a1)
+    for p0, p1, q0, q1, r0, r1, _ in rest:
+        top, low = ((p0, p1), (q0, q1), (0, 0)), ((r0, r1), (-p0, -p1), (0, 0))
+        left, right = (a, c, (0, 0)), (b, d, (0, 0))
+        a, b = _pair_dot(top, left, D), _pair_dot(top, right, D)
+        c, d = _pair_dot(low, left, D), _pair_dot(low, right, D)
+    return a == (-d[0], -d[1])
 
 
 class PolygonChain(NamedTuple):
@@ -208,7 +238,7 @@ class PolygonChain(NamedTuple):
 def _key_param(key: tuple, D: int) -> ConicParam:
     """The parameter of a key over sqrt(D)."""
     u0, u1, v = key
-    return ConicParam(_ext(u0, u1, v, D)) if u1 else ConicParam._from_coprime(u0, v)
+    return ConicParam(_ext(u0, u1, v, D)) if u1 else ConicParam._from_canonical(u0, v)
 
 
 def _key_of(t: ConicParam, D: int) -> Optional[tuple]:
@@ -231,32 +261,50 @@ def _line_maps(line_pairs: Sequence[tuple]) -> tuple:
     """The involution at the pole (2 l2 : -l1 : 2 l0) of each line, read off
     its integer pairs over sqrt(D) as [[-l1, -2 l0], [2 l2, l1]] up to a
     scalar: the six ints (a0, a1, b0, b1, c0, c1) of [[a, b], [c, -a]]
-    with a = a0 + a1 sqrt(D), b and c likewise."""
+    with a = a0 + a1 sqrt(D), b and c likewise, and a seventh, the
+    determinant 4 l0 l2 - l1^2 of a rational map, or 0 for an irrational
+    one."""
     return tuple(
-        (-x1, -y1, -2 * x0, -2 * y0, 2 * x2, 2 * y2)
+        (-x1, -y1, -2 * x0, -2 * y0, 2 * x2, 2 * y2,
+         0 if y0 or y1 or y2 else 4 * x0 * x2 - x1 * x1)
         for (x0, y0), (x1, y1), (x2, y2) in line_pairs
     )
 
 
+def _config_maps(config: LineConfiguration) -> tuple:
+    """(D, maps) of a configuration, read off its lines once: D is the
+    lines' one radicand, or 0 when all are rational, as a rational line's
+    pairs hold over any D."""
+    if config._maps is None:
+        D = next((l._D for l in config.lines if l._D), 0)
+        config._maps = D, _line_maps([_pairs_over(l, D) for l in config.lines])
+    return config._maps
+
+
 def _walk_keys(maps: tuple, D: int, key: tuple, order: Sequence[int]) -> list:
     """The keys of a parameter pushed through maps[i] for each i in order,
-    the start's first: the one loop that steps an exact parameter. A rational
-    map acts on a rational key in plain ints. Any other step gives a pair
-    (P : Q) over sqrt(D) and multiplies it by the conjugate of Q, which
-    makes Q rational, and so the map's scalar, which the gcd removes;
-    infinity (Q = 0) is (1, 0, 0)."""
+    the start's first: the one loop that steps an exact parameter.
+
+    A rational map M takes a rational key, the coprime (u, v), to (p, q) in
+    plain ints: adj(M) (p, q) = det(M) (u, v), so gcd(p, q) divides det and
+    is gcd(gcd(p, det), q), two gcds against a line-sized operand (and at
+    det = 0 just gcd(p, q)). Any other step gives a pair (P : Q) over
+    sqrt(D) and multiplies it by the conjugate of Q, which makes Q rational,
+    and so the map's scalar, which the full gcd removes; infinity (Q = 0)
+    is (1, 0, 0)."""
     keys = [key]
     u0, u1, v = key
     for i in order:
-        a0, a1, b0, b1, c0, c1 = maps[i]
+        a0, a1, b0, b1, c0, c1, det = maps[i]
         if u1 or a1 or b1 or c1:
             pa, pb = a0 * u0 + a1 * u1 * D + b0 * v, a0 * u1 + a1 * u0 + b1 * v
             qa, qb = c0 * u0 + c1 * u1 * D - a0 * v, c0 * u1 + c1 * u0 - a1 * v
             q = qa * qa - qb * qb * D
             p, p1 = (pa * qa - pb * qb * D, pb * qa - pa * qb) if q else (1, 0)
+            g = math.gcd(p, p1, q)
         else:
             p, p1, q = a0 * u0 + b0 * v, 0, c0 * u0 - a0 * v
-        g = math.gcd(p, p1, q)
+            g = math.gcd(math.gcd(p, det), q)
         if (q or p) < 0:  # v > 0, and infinity is (1, 0, 0)
             g = -g
         u0, u1, v = key = (p // g, p1 // g, q // g)
@@ -268,22 +316,15 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
     """Push a conic parameter through the pole involutions, twice around.
 
     The walk runs on integer keys (_walk_keys) over one radicand D, that of
-    the configuration or else of the start. The member maps (over the lines'
-    radicand, or 0: rational pairs hold over any D), and per D the keys of
-    the configuration parameters, are read once per configuration; each
-    ConicParam is built once, at the end. A float start or configuration
-    raises MixedBackend."""
+    the configuration or else of the start. The member maps (_config_maps),
+    and per D the keys of the configuration parameters, are read once per
+    configuration; each ConicParam is built once, at the end. A float start
+    or configuration raises MixedBackend."""
     u = start.pair()[0]
     if config.kind == "float" or type(u) is float:
         raise MixedBackend("dual chains walk exact parameters of exact configurations")
     _require_valid(config)
-    if config._maps is None:
-        radicands = {l._D for l in config.lines if l._D}
-        if len(radicands) > 1:
-            raise MixedBackend(f"configuration over the radicands {sorted(radicands)}")
-        D = radicands.pop() if radicands else 0
-        config._maps = D, _line_maps([_pairs_over(l, D) for l in config.lines])
-    D, maps = config._maps
+    D, maps = _config_maps(config)
     if not D and type(u) is QuadExt:
         D = u._D
     key = _key_of(start, D)
@@ -368,7 +409,7 @@ def _tangent_walk(
             if not w:
                 raise DegenerateStart("float walk hit the parameter at infinity")
             ts.append(x / w)
-            a, _, b, _, c, _ = maps[target]
+            a, _, b, _, c, _, _ = maps[target]
             x, w = a * ts[-1] + b, c * ts[-1] - a
         params = [t, *map(ConicParam, ts[1:])]
         vertices = (
@@ -493,25 +534,28 @@ def generate_closing(n: int, seed: int, max_tries: Optional[int] = None) -> Line
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
-    members, gathered = [], set()
+    members, lines, gathered = [], [], set()
 
     def candidate():
-        nonlocal members, gathered
+        nonlocal members, lines, gathered
         while len(members) < n - 1:
             center = _random_point(rng)
-            if not _admit(polar(center), gathered):
+            line = polar(center)
+            if not _admit(line, gathered):
                 return None
             members.append(fregier(center))
-        chain, admitted = InvolutionChain(members), gathered
+            lines.append(line)
+        chain, polars, admitted = InvolutionChain(members), lines, gathered
         # whatever the completion gives, the next draw starts a fresh
         # candidate, so that a degenerate locus cannot trap the loop
-        members, gathered = [], set()
+        members, lines, gathered = [], [], set()
         center = point_on_line(closing_center_locus(chain), _random_param(rng))
         full = chain.extended(fregier(center))
+        line = polar(center)
         # the last center lies on the locus, so the product has trace
         # zero: an involution unless it is the identity
-        if is_involution(full.product) and _admit(polar(center), admitted):
-            config = LineConfiguration([polar(f.center) for f in full.members])
+        if is_involution(full.product) and _admit(line, admitted):
+            config = LineConfiguration([*polars, line])
             # the pole of each polar is its center, so full is the
             # configuration's pole-involution chain
             config._chain = full

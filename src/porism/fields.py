@@ -205,7 +205,13 @@ class QuadExt:
     def __float__(self):
         if self._D < 0:
             raise ValueError("negative discriminant has no real image")
-        return self._a / self._c + self._b / self._c * math.sqrt(self._D)
+        # (a 2^k + b sqrt(D) 2^k) / (c 2^k), the second term by isqrt to
+        # within 1: as |a + b sqrt(D)| >= 1 / (|a| + |b| sqrt(D)), this k
+        # bounds the relative error by 2^-58 even where the terms cancel
+        a, b, c, D = self._a, self._b, self._c, self._D
+        k = a.bit_length() + b.bit_length() + D.bit_length() // 2 + 60
+        root = math.isqrt(b * b * D << 2 * k)
+        return ((a << k) + (root if b > 0 else -root)) / (c << k)
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"

@@ -446,20 +446,20 @@ class ConicParam:
             g = math.gcd(u, v)
             if v < 0:
                 g = -g
-            return cls._from_coprime(u // g, v // g)
+            return cls._from_canonical(u // g, v // g)
         return cls(u / v)
 
     @classmethod
-    def _from_coprime(cls, u: int, v: int) -> "ConicParam":
-        """The parameter of a coprime int pair with v >= 0, which is already
-        its canonical pair."""
+    def _from_canonical(cls, u, v) -> "ConicParam":
+        """The parameter of a pair already in canonical form: a coprime int
+        pair with v >= 0, or (t, 1) for an extension value t."""
         obj = object.__new__(cls)
         obj._pair = (u, v)
         return obj
 
     @classmethod
     def infinity(cls) -> "ConicParam":
-        return cls._from_coprime(1, 0)
+        return cls._from_canonical(1, 0)
 
     @property
     def is_infinite(self) -> bool:
@@ -614,18 +614,19 @@ def _quadratic_params(a, b, c) -> ParamRoots:
     if disc == 0:
         return ParamRoots((ConicParam._from_pair(-b, 2 * a),), disc, True)
     if type(disc) is int:
-        # integer coefficients: the roots (-b +- sqrt(disc)) / 2a directly
+        # integer coefficients: the roots (-b +- sqrt(disc)) / 2a directly,
+        # as reduced int pairs or as canonical (QuadExt, 1) pairs
         r = math.isqrt(disc) if disc > 0 else 0
         if r * r == disc:
-            roots = (Fraction(-b + r, 2 * a), Fraction(-b - r, 2 * a))
+            roots = (ConicParam._from_pair(-b + r, 2 * a), ConicParam._from_pair(-b - r, 2 * a))
         else:
-            roots = (_ext(-b, 1, 2 * a, disc), _ext(-b, -1, 2 * a, disc))
-    else:
-        try:
-            root = sqrt_scalar(disc)
-        except FieldInsufficient:
-            return ParamRoots((), disc, False)
-        roots = (_quotient(-b + root, 2 * a), _quotient(-b - root, 2 * a))
+            roots = tuple(ConicParam._from_canonical(_ext(-b, s, 2 * a, disc), 1) for s in (1, -1))
+        return ParamRoots(roots, disc, False)
+    try:
+        root = sqrt_scalar(disc)
+    except FieldInsufficient:
+        return ParamRoots((), disc, False)
+    roots = (_quotient(-b + root, 2 * a), _quotient(-b - root, 2 * a))
     return ParamRoots((ConicParam(roots[0]), ConicParam(roots[1])), disc, False)
 
 

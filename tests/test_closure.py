@@ -1,5 +1,6 @@
 """Line configurations, chain walks, the porism test, two-line criterion."""
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from porism.closure import (
     LineConfiguration,
     ValidityReport,
     _repeats,
+    _walk_keys,
     TwoLineSystem,
     concurrent_tangent_chain,
     dual_chain,
@@ -43,7 +45,7 @@ from porism.errors import (
     NotClosed,
 )
 from porism.fields import QuadExt
-from porism.involution import fregier
+from porism.involution import InvolutionChain, fregier
 from porism.plane import (
     INFINITY,
     ConicParam,
@@ -54,6 +56,7 @@ from porism.plane import (
     cross_ratio,
     fixed_points,
     incident,
+    is_involution,
     join,
     meet,
     mobius_apply,
@@ -320,6 +323,60 @@ def test_dual_chain_refuses_float_starts_and_configurations():
         dual_chain(config.as_float(), ConicParam(0.3))
 
 
+def test_porism_holds_refuses_float_configurations():
+    # no float decides a verdict: the float lines of a closing and of an
+    # open configuration both raise
+    for config in (X0_CONFIG, generate_closing(4, 0), random_configuration(4, 0)):
+        with pytest.raises(MixedBackend):
+            porism_holds(config.as_float())
+
+
+def test_a_configuration_over_two_radicands_is_refused():
+    # the chords through (1, sqrt 2), (sqrt 3, 2) and (5, 7) lie over the
+    # radicands 2 and 3 and Q
+    ends = [(1, QuadExt(0, 1, 2)), (QuadExt(0, 1, 3), 2), (5, 7)]
+    lines = [chord(ConicParam(s), ConicParam(t)) for s, t in ends]
+    assert [l._D for l in lines] == [2, 3, None]
+    with pytest.raises(MixedBackend, match=r"radicands \[2, 3\]"):
+        LineConfiguration(lines)
+    assert LineConfiguration(lines[1:]).report.valid  # one radicand and Q
+
+
+def _reference_step(a, b, c, key):
+    """The key of [[a, b], [c, -a]] applied to a rational key, reduced by
+    the full gcd of the image pair."""
+    u, _, v = key
+    p, q = a * u + b * v, c * u - a * v
+    g = math.gcd(p, q)
+    if (q or p) < 0:
+        g = -g
+    return p // g, 0, q // g
+
+
+big = st.integers(-(2**200), 2**200)
+
+
+@settings(max_examples=300, deadline=None)
+@example(1, 1, -1, (3, 0, 1))  # det = 0
+@example(2, -4, 1, (5, 0, 7))  # det = 0
+@example(3, 5, 7, (1, 0, 0))  # the infinity key
+@example(0, 6, -10, (1, 0, 0))  # infinity with det = 60
+@example(6, 0, 9, (0, 0, 1))
+@given(st.one_of(big, st.integers(-50, 50)), st.one_of(big, st.integers(-50, 50)),
+       st.one_of(big, st.integers(-50, 50)),
+       st.one_of(st.just((1, 0, 0)),
+                 st.builds(lambda t: (t.numerator, 0, t.denominator),
+                           st.fractions(max_denominator=2**64))))
+def test_the_det_reduced_step_is_the_full_gcd_step(a, b, c, key):
+    # adj(M) (p, q) = det(M) (u, v): gcd(p, q) divides det for a coprime
+    # key, and det = 0 falls back to gcd(p, q)
+    u, _, v = key
+    assume(a * u + b * v or c * u - a * v)  # a singular map's kernel has no image
+    det = -(a * a + b * c)
+    step = _walk_keys(((a, 0, b, 0, c, 0, det),), 0, key, [0])
+    assert step == [key, _reference_step(a, b, c, key)]
+
+
 def _public_dual_walk(config, start):
     """The dual walk by the public Mobius action on ConicParams, with
     dual_chain's checks: its params, or None where it must raise
@@ -357,7 +414,11 @@ generators = st.sampled_from([generate_closing, random_configuration])
 @settings(max_examples=40, deadline=None)
 @given(generators, st.integers(2, 48), st.integers(0, 2**16), st.fractions(max_denominator=30))
 def test_dual_chain_is_the_iterated_mobius_action(generator, n, seed, start):
-    _assert_dual_walks_agree(generator(n, seed), ConicParam(start))
+    config = generator(n, seed)
+    _assert_dual_walks_agree(config, ConicParam(start))
+    # the trace of the maps' product decides as the public product does
+    fresh = LineConfiguration(config.lines)
+    assert porism_holds(config) == is_involution(pole_involutions(fresh).product)
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,6 +461,7 @@ def test_dual_chain_over_extension_configurations(poles, start):
         valid = False
     assume(valid)
     _assert_dual_walks_agree(config, start)
+    assert porism_holds(config) == is_involution(pole_involutions(config).product)
 
 
 def test_dual_chain_steps_through_infinity_and_degenerate_words():
@@ -541,6 +603,10 @@ def test_generate_closing_produces_closing_configs(n):
     assert config.n == n
     assert config.report.valid
     assert porism_holds(config)
+    # the cached chain's product, carried over from n - 1 members, is the
+    # product composed afresh
+    chain = pole_involutions(config)
+    assert chain.product == InvolutionChain(chain.members).product
     rng = random.Random(n)
     closed = 0
     while closed < 5:
@@ -1038,6 +1104,10 @@ closing_lines = st.builds(lambda n, seed: generate_closing(n, seed).lines,
 
 
 @settings(max_examples=80, deadline=None)
+# an exact vertex here has the entry (-45040877 + 3356 sqrt(180123244))/2,
+# whose terms cancel: its float image must survive that
+@example(("pencil", [ProjLine(1, 1, 1)] + [ProjLine(1, 2, 0), ProjLine(1, 0, 2)] * 3),
+         Fraction(6710), "first")
 @given(st.one_of(st.tuples(st.just("primal"), closing_lines),
                  st.tuples(st.just("pencil"), pencils())),
        st.fractions(max_denominator=9), branches)

@@ -97,6 +97,16 @@ def test_quadext_negative_discriminant():
         float(i)
 
 
+def test_quadext_float_survives_cancelling_terms():
+    # -45040877 + 3356 sqrt(180123244) = -0.62491617770364716...: each term
+    # is about 4.5e7, and their float sum was off by 4e-9
+    x = QuadExt(-45040877, 3356, 180123244)
+    assert float(x) == pytest.approx(-0.6249161777036472, rel=1e-15)
+    assert float(-x) == -float(x)
+    for y in (QuadExt(1, 1, 2), QuadExt(-1, 1, 2), QuadExt(0, -3, 5), QuadExt(Fraction(7, 3), -1, 6)):
+        assert float(y) == pytest.approx(float(y.a) + float(y.b) * float(y.d) ** 0.5, rel=1e-15)
+
+
 quad_elements = st.builds(
     QuadExt,
     fractions,
