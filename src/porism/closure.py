@@ -7,7 +7,8 @@ a trace: compose the involutions centered at the poles of the lines; closure
 for all starts is exactly "that product is again an involution", which
 porism_holds decides by the trace of the product of the maps read off the
 lines (_line_maps). The seeded generators draw and admit their lines
-through sampling.py.
+through sampling.py, whose admission test (_admit) also decides a rational
+configuration's validity; its ValidityReport is built only on demand.
 
 Chains walk the configuration cyclically, twice around: the dual chain pushes
 a conic parameter through u_1, ..., u_n, u_1, ..., u_n; the primal chain
@@ -89,7 +90,7 @@ class LineConfiguration:
     tangent to the conic, and the 2n intersection parameters pairwise
     distinct (in extension where needed)."""
 
-    __slots__ = ("lines", "_report", "_poles", "_chain", "_maps", "_forbidden")
+    __slots__ = ("lines", "_report", "_admitted", "_poles", "_chain", "_maps", "_forbidden")
 
     def __init__(self, lines: Sequence[ProjLine]):
         lines = tuple(lines)
@@ -105,10 +106,11 @@ class LineConfiguration:
             raise InvalidConfiguration(f"repeated line {repeated[0]!r}")
         self.lines = lines
         self._report: Optional[ValidityReport] = None
+        self._admitted: Optional[set] = None
         self._poles: Optional[tuple[ProjPoint, ...]] = None
         self._chain: Optional[InvolutionChain] = None
         self._maps: Optional[tuple] = None
-        self._forbidden: Optional[dict[int, frozenset[tuple]]] = None
+        self._forbidden: dict[int, frozenset[tuple]] = {}
 
     @property
     def n(self) -> int:
@@ -134,8 +136,9 @@ class LineConfiguration:
 
 
 def validate(config: LineConfiguration) -> ValidityReport:
-    """Tangency and parameter-distinctness report. A member whose conic
-    parameters leave its field raises FieldInsufficient, naming it.
+    """Tangency and parameter-distinctness report, built on demand only
+    (_require_valid decides without it). A member whose conic parameters
+    leave its field raises FieldInsufficient, naming it.
 
     A rational configuration counts only its rational parameters for
     repeats: an irrational one has its line's quadratic as its minimal
@@ -164,6 +167,17 @@ def validate(config: LineConfiguration) -> ValidityReport:
 
 
 def _require_valid(config: LineConfiguration):
+    """InvalidConfiguration unless config is valid: by _admit on a rational
+    exact configuration, which keeps the admitted keys (among them its
+    rational conic parameters), else by the ValidityReport, which also
+    words the error."""
+    if config._admitted is not None:
+        return
+    if config.kind == "exact" and all(l._pairs is None for l in config.lines):
+        admitted = set()
+        if all(_admit(l, admitted) for l in config.lines):
+            config._admitted = admitted
+            return
     report = config.report
     if not report.valid:
         raise InvalidConfiguration(
@@ -318,8 +332,9 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
     The walk runs on integer keys (_walk_keys) over one radicand D, that of
     the configuration or else of the start. The member maps (_config_maps),
     and per D the keys of the configuration parameters, are read once per
-    configuration; each ConicParam is built once, at the end. A float start
-    or configuration raises MixedBackend."""
+    configuration. The walked keys are checked by set operations, and
+    scanned again only to name a fault; each ConicParam is built once, at
+    the end. A float start or configuration raises MixedBackend."""
     u = start.pair()[0]
     if config.kind == "float" or type(u) is float:
         raise MixedBackend("dual chains walk exact parameters of exact configurations")
@@ -330,28 +345,32 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
     key = _key_of(start, D)
     if key is None:
         raise MixedBackend(f"{start!r} lies outside Q(sqrt({D}))")
-    if config._forbidden is None:
-        config._forbidden = {}
     forbidden = config._forbidden.get(D)
     if forbidden is None:
-        known = (_key_of(t, D) for t in config.report.all_params)
-        forbidden = config._forbidden[D] = frozenset(k for k in known if k)
+        if D:
+            known = (_key_of(t, D) for t in config.report.all_params)
+            forbidden = frozenset(k for k in known if k)
+        else:  # the rational parameters among the keys _require_valid admitted
+            forbidden = frozenset((k[0], 0, k[1]) for k in config._admitted if len(k) == 2)
+        config._forbidden[D] = forbidden
     if key in forbidden:
         raise DegenerateStart(f"{start!r} lies on a configuration line")
     total = 2 * config.n
     keys = _walk_keys(maps, D, key, [*range(config.n)] * 2)
-    seen = {key}
-    for step, (key, nxt) in enumerate(zip(keys, keys[1:])):
-        if nxt == key:
-            raise DegenerateStart(f"{_key_param(key, D)!r} is fixed by an involution")
-        if nxt in forbidden:
-            raise DegenerateStart(f"chain hit configuration parameter {_key_param(nxt, D)!r}")
-        # a revisit before the final step retraces the walk: the start sat on
-        # a fixed point of a partial word, and the 2n-gon degenerates
-        if step < total - 1 and nxt in seen:
-            raise DegenerateStart(f"walk revisits {_key_param(nxt, D)!r} before closing")
-        seen.add(nxt)
-    params = tuple(_key_param(k, D) for k in keys)
+    # a fixed point of u_k is a parameter of L_k, so forbidden holds every
+    # key an involution fixes, and no step needs a check of its own
+    if not forbidden.isdisjoint(keys) or len(set(keys[:-1])) < total:
+        seen = {key}
+        for step, nxt in enumerate(keys[1:]):
+            if nxt in forbidden:
+                raise DegenerateStart(f"chain hit configuration parameter {_key_param(nxt, D)!r}")
+            # a revisit before the final step retraces the walk: the start sat
+            # on a fixed point of a partial word, and the 2n-gon degenerates
+            if step < total - 1 and nxt in seen:
+                raise DegenerateStart(f"walk revisits {_key_param(nxt, D)!r} before closing")
+            seen.add(nxt)
+    rational = ConicParam._from_canonical  # as _key_param, one call fewer
+    params = tuple([_key_param(k, D) if k[1] else rational(k[0], k[2]) for k in keys])
     return PolygonChain("dual", params, (), keys[-1] == keys[0], total)
 
 
@@ -514,11 +533,24 @@ def concurrent_tangent_chain(
     if vertices[-1] == vertices[0]:
         raise DegenerateStart("walk returned to the start vertex early")
     closing = join(vertices[-1], vertices[0])
+    if start.kind == "exact":
+        tangent = is_tangent(closing)
+    else:
+        # a line through the start, which is off the conic, touches it only
+        # as one of the start's tangents; the last vertex's incidence with
+        # them carries the vertices' own rounding, where the join of two
+        # near vertices magnifies it by their inverse distance
+        tangent = False
+        for t in tangents_from(start).params:
+            line = tangent_at(t)
+            if line.kind == "exact":  # a float quadratic's root at infinity
+                line = ProjLine(*(float(c) for c in line.coords))
+            tangent = tangent or incident(line, vertices[-1])
     return TangentClosure(
         tuple(vertices),
         tuple(edge_params),
         closing,
-        is_tangent(closing),
+        tangent,
         tangency_discriminant(closing),
     )
 

@@ -1,8 +1,10 @@
 """Seeded sampling: the random draws, the line admission test and the one
 bounded redraw loop that the generators, the suites and the CLI share.
 
-Tests pin the order of the draws (the generator digests, the _random_point
-twin, the suite seeds and the frozen outputs): every seeded output hangs on it.
+Tests pin the order of the draws (the generator digests, the stdlib twin of
+the draws, the suite seeds and the frozen outputs): every seeded output hangs
+on it. The draws read rng.getrandbits as Random.randint does (_randint): the
+same ints, in the same order, to the same final state.
 """
 from __future__ import annotations
 
@@ -20,11 +22,25 @@ def _budget(n: int, max_tries: Optional[int]) -> int:
     return max(400, n) if max_tries is None else max_tries
 
 
+def _randint(bits: Callable[[int], int], lo: int, hi: int) -> int:
+    """rng.randint(lo, hi) from bits = rng.getrandbits, read as the stdlib's
+    _randbelow_with_getrandbits does: with width = hi - lo + 1, draw
+    width.bit_length() bits until they fall below width."""
+    width = hi - lo + 1
+    if width <= 0:
+        raise ValueError(f"empty range for randint({lo}, {hi})")
+    k, r = width.bit_length(), width
+    while r >= width:
+        r = bits(k)
+    return lo + r
+
+
 def _random_param(rng: random.Random, span: int = 9,
                   den_span: Optional[int] = None) -> ConicParam:
     """A rational parameter: numerator in [-span, span], then denominator in
     [1, den_span], which defaults to span."""
-    return ConicParam._from_pair(rng.randint(-span, span), rng.randint(1, den_span or span))
+    bits = rng.getrandbits
+    return ConicParam._from_pair(_randint(bits, -span, span), _randint(bits, 1, den_span or span))
 
 
 def _random_point(rng: random.Random, span: int = 9) -> ProjPoint:
@@ -33,10 +49,11 @@ def _random_point(rng: random.Random, span: int = 9) -> ProjPoint:
 
     It makes the same draws, numerator then denominator per coordinate,
     and clears the denominators in ints: no Fraction is built."""
+    bits = rng.getrandbits
     while True:
-        n0, d0 = rng.randint(-span, span), rng.randint(1, span)
-        n1, d1 = rng.randint(-span, span), rng.randint(1, span)
-        n2, d2 = rng.randint(-span, span), rng.randint(1, span)
+        n0, d0 = _randint(bits, -span, span), _randint(bits, 1, span)
+        n1, d1 = _randint(bits, -span, span), _randint(bits, 1, span)
+        n2, d2 = _randint(bits, -span, span), _randint(bits, 1, span)
         if n0 or n1 or n2:
             coords = (n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1)
             return ProjPoint._from_primitive(_primitive(coords))

@@ -16,7 +16,9 @@ start is, while primal chains generally live in a quadratic extension.
 """
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -32,9 +34,19 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def format_rational(q: int | Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # past the interpreter's limit on integer strings
+        big = max(abs(q.numerator), q.denominator)
+        digits = int((big.bit_length() - 1) * math.log10(2)) + 1  # or one more:
+        digits += big >= 10**digits
+        raise ParseError(
+            f"cannot store a scalar of {digits} digits: the interpreter's limit "
+            f"for integer string conversion is {sys.get_int_max_str_digits()} digits"
+        ) from exc
+
 
 
 def parse_rational(token: str) -> Fraction:

@@ -142,6 +142,18 @@ def test_construct_without_an_admissible_start_fails(tmp_path, capsys, monkeypat
     assert not path.exists()
 
 
+def test_construct_refuses_a_scene_past_the_digit_limit(tmp_path, capsys, digit_limit_640):
+    # the chain parameters of a 300-line scene reach about 7.5 * 300 bits,
+    # some 680 digits, past the lowered limit; the lines stay below it
+    path = tmp_path / "big.scene"
+    assert main(["construct", "300", "--seed", "0", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot store a scalar of ")
+    assert err.endswith("the interpreter's limit for integer string conversion is 640 digits\n")
+    assert int(err.split()[6]) > 640
+    assert not path.exists()
+
+
 def test_construct_deterministic(tmp_path):
     a = str(tmp_path / "a.scene")
     b = str(tmp_path / "b.scene")

@@ -12,6 +12,7 @@ from porism.closure import (
     LineConfiguration,
     ValidityReport,
     _repeats,
+    _require_valid,
     _walk_keys,
     TwoLineSystem,
     concurrent_tangent_chain,
@@ -157,6 +158,40 @@ def test_integer_admission_and_validation_match_the_parameter_reference(lines):
         report = validate(config)
         assert report == _validate_reference(config)
         assert repr(report) == repr(_validate_reference(config))
+
+
+@settings(max_examples=300, deadline=None)
+@example([tangent_at(ConicParam(F(0))), ProjLine(1, 0, -1)])  # a tangent member
+@example([chord(ConicParam(F(1)), ConicParam(F(2))),  # a shared rational parameter
+          chord(ConicParam(F(1)), ConicParam(F(3)))])
+@example([ProjLine(2, 1, 0), ProjLine(1, 0, -1)])  # l2 = 0: the parameter at infinity
+@example([ProjLine(2, 1, 0), ProjLine(0, 1, 0)])  # infinity on both lines
+@example([ProjLine(1, 3, 1), ProjLine(1, 1, 1), ProjLine(1, 0, -1)])  # non-square discriminants
+@given(line_sequences())
+def test_integer_validity_matches_the_report(lines):
+    distinct = list(dict.fromkeys(lines))
+    assume(len(distinct) >= 2)
+    config = LineConfiguration(distinct)
+    reference = _validate_reference(config).valid
+    assert validate(config).valid == reference
+    try:
+        _require_valid(config)
+        fast = True
+    except InvalidConfiguration:
+        fast = False
+    assert fast == reference
+    # a valid configuration is decided without its report
+    assert (config._report is None) == fast
+    if fast:
+        try:
+            dual_chain(config, ConicParam(F(1, 7)))
+        except DegenerateStart:
+            pass
+        rational = {(u, 0, v) for u, v in (t.pair() for t in validate(config).all_params)
+                    if type(u) is int}
+        assert config._forbidden == {0: rational}
+    assert config.report == validate(config)
+    assert repr(config.report) == repr(validate(config))
 
 
 def test_validate_refuses_a_member_whose_parameters_leave_its_field():
@@ -475,11 +510,24 @@ def test_dual_chain_steps_through_infinity_and_degenerate_words():
             _assert_dual_walks_agree(config, t)
             with pytest.raises(DegenerateStart, match="revisits"):
                 dual_chain(config, t)
-        # the first step lands on a parameter of the second line
-        for p in config.report.params[1]:
+        # the first step lands on a parameter of the second line, which u_2
+        # then fixes, or of the last, whose map is not the next step's
+        for p in config.report.params[1] + config.report.params[-1]:
             _assert_dual_walks_agree(config, mobius_apply(u[0], p))
             with pytest.raises(DegenerateStart, match="hit configuration parameter"):
                 dual_chain(config, mobius_apply(u[0], p))
+
+
+def test_dual_chain_start_at_a_parameter_of_the_first_line_lies_on_it():
+    # the fixed points of u_1 are the parameters of L_1 (and likewise for
+    # every u_k), so no step of a walk from an admitted start is ever fixed
+    for config in [X0_CONFIG, SQRT2_CONFIG] + [random_configuration(3, seed) for seed in range(4)]:
+        u1 = pole_involutions(config).members[0].map
+        params = config.report.params[0]
+        assert set(fixed_points(u1).params) == set(params)
+        for t in params:
+            with pytest.raises(DegenerateStart, match="lies on a configuration line"):
+                dual_chain(config, t)
 
 
 def test_dual_chain_detects_configuration_parameters_over_any_radicand():
@@ -741,13 +789,18 @@ def test_generators_build_no_fraction(generator, no_fraction_built):
 @example(seed=6423)  # and at span 12
 @given(st.integers(0, 2**32))
 def test_random_point_draws_three_random_fractions(span, seed):
+    # the reference draws with the stdlib's randint, so this pins the
+    # getrandbits reading of the draws on every interpreter that runs it
     rng, twin = random.Random(seed), random.Random(seed)
     point = _random_point(rng, span)
     while True:
-        coords = tuple(_random_param(twin, span).value for _ in range(3))
+        coords = [F(twin.randint(-span, span), twin.randint(1, span)) for _ in range(3)]
         if any(coords):
             break
     assert point == ProjPoint(*coords)
+    assert rng.getstate() == twin.getstate()
+    # the CLI's chain start
+    assert _random_param(rng, 60, 20) == ConicParam(F(twin.randint(-60, 60), twin.randint(1, 20)))
     assert rng.getstate() == twin.getstate()
 
 
@@ -1108,6 +1161,10 @@ closing_lines = st.builds(lambda n, seed: generate_closing(n, seed).lines,
 # whose terms cancel: its float image must survive that
 @example(("pencil", [ProjLine(1, 1, 1)] + [ProjLine(1, 2, 0), ProjLine(1, 0, 2)] * 3),
          Fraction(6710), "first")
+# the vertices crowd the apex, 4e-6 apart at the close: the float image of
+# the join of the last and first has a tangency discriminant of 1.5e-8
+@example(("pencil", [ProjLine(2, 2, 1), ProjLine(0, 1, 0), ProjLine(2, 3, 1)]),
+         Fraction(-39860), "second")
 @given(st.one_of(st.tuples(st.just("primal"), closing_lines),
                  st.tuples(st.just("pencil"), pencils())),
        st.fractions(max_denominator=9), branches)

@@ -1,8 +1,11 @@
-"""The bounded redraw loop shared by the generators, the suites and the CLI."""
+"""The draws and the bounded redraw loop shared by the generators, the
+suites and the CLI."""
+import random
+
 import pytest
 
 from porism.errors import DegenerateStart, GenerationExhausted
-from porism.sampling import _redraw
+from porism.sampling import _randint, _redraw
 from porism.suites import ResampleTally
 
 
@@ -49,3 +52,12 @@ def test_redraw_propagates_exceptions_outside_skip():
     draw, _ = _draws(DegenerateStart("not skipped"))
     with pytest.raises(DegenerateStart):
         _redraw(draw, 5, "unused")
+
+
+def test_randint_refuses_an_empty_range_as_the_stdlib_does():
+    rng = random.Random(0)
+    for hi in (0, -3):
+        with pytest.raises(ValueError):
+            rng.randint(1, hi)
+        with pytest.raises(ValueError, match="empty range"):
+            _randint(rng.getrandbits, 1, hi)

@@ -111,6 +111,14 @@ def test_parse_rejects_scalars_beyond_the_digit_limit(record):
         parse(f"poncelet-scene 1\nconic canonical\n{record.format(token)}\n")
 
 
+def test_format_rational_names_the_digits_beyond_the_limit(digit_limit_640):
+    assert format_rational(10**639) == "1" + "0" * 639
+    for q, digits in [(10**700, 701), (Fraction(-1, 10**650 - 1), 650), (Fraction(10**640, 3), 641)]:
+        with pytest.raises(ParseError, match=f"^cannot store a scalar of {digits} digits: "
+                           "the interpreter's limit for integer string conversion is 640 digits$"):
+            format_rational(q)
+
+
 _TOKENS = st.sampled_from([
     "poncelet-scene", "1", "conic", "canonical", "line", "point", "chain", "dual",
     "inf", "A", "0", "-1", "2/3", "3/0", "-0/5", "1.5", "1e3", "#", "\u0661", "",
