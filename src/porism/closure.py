@@ -9,6 +9,8 @@ porism_holds decides by the trace of the product of the maps read off the
 lines (_line_maps). The seeded generators draw and admit their lines
 through sampling.py, whose admission test (_admit) also decides a rational
 configuration's validity; its ValidityReport is built only on demand.
+generate_closing puts its last pole where the trace of the product of its
+first n - 1 maps vanishes; involution objects are built only on demand.
 
 Chains walk the configuration cyclically, twice around: the dual chain pushes
 a conic parameter through u_1, ..., u_n, u_1, ..., u_n; the primal chain
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .algebra import Mat2, is_scalar_multiple_of_identity
 from .conic import (
@@ -42,17 +44,14 @@ from .conic import (
     tangents_from,
 )
 from .errors import (
-    CenterOnConic,
     DegenerateStart,
     EqualParameters,
     FieldInsufficient,
-    IdentityMap,
     InvalidConfiguration,
     MixedBackend,
     NotClosed,
 )
-from .fields import QuadExt, Scalar, _ext
-from .involution import InvolutionChain, closing_center_locus, fregier
+from .fields import QuadExt, Scalar, _ext, _text
 from .plane import (
     ConicParam,
     ProjLine,
@@ -63,11 +62,13 @@ from .plane import (
     _pairs_over,
     _repeats,
     incident,
-    is_involution,
     join,
     point_on_line,
 )
 from .sampling import _admit, _budget, _random_param, _random_point, _redraw
+
+if TYPE_CHECKING:  # imported on use, so that construct and porism never load it
+    from .involution import InvolutionChain
 
 
 class ValidityReport(NamedTuple):
@@ -85,12 +86,12 @@ class ValidityReport(NamedTuple):
 
 class LineConfiguration:
     """An ordered tuple of n >= 2 pairwise distinct lines, of one backend and
-    at most one radicand, with cached poles, pole-involution chain, maps,
-    validity and set of intersection parameters. Valid means: no member
-    tangent to the conic, and the 2n intersection parameters pairwise
-    distinct (in extension where needed)."""
+    at most one radicand, with cached maps (_config_maps), validity and set
+    of intersection parameters. Valid means: no member tangent to the
+    conic, and the 2n intersection parameters pairwise distinct (in
+    extension where needed)."""
 
-    __slots__ = ("lines", "_report", "_admitted", "_poles", "_chain", "_maps", "_forbidden")
+    __slots__ = ("lines", "_report", "_admitted", "_maps", "_forbidden")
 
     def __init__(self, lines: Sequence[ProjLine]):
         lines = tuple(lines)
@@ -100,15 +101,14 @@ class LineConfiguration:
             raise MixedBackend("configuration lines from different backends")
         radicands = {l._D for l in lines if l._D}
         if len(radicands) > 1:
-            raise MixedBackend(f"configuration over the radicands {sorted(radicands)}")
+            listed = ", ".join(map(_text, sorted(radicands)))
+            raise MixedBackend(f"configuration over the radicands [{listed}]")
         repeated = _repeats(lines)
         if repeated:
             raise InvalidConfiguration(f"repeated line {repeated[0]!r}")
         self.lines = lines
         self._report: Optional[ValidityReport] = None
         self._admitted: Optional[set] = None
-        self._poles: Optional[tuple[ProjPoint, ...]] = None
-        self._chain: Optional[InvolutionChain] = None
         self._maps: Optional[tuple] = None
         self._forbidden: dict[int, frozenset[tuple]] = {}
 
@@ -189,17 +189,15 @@ def _require_valid(config: LineConfiguration):
 def poles_of(config: LineConfiguration) -> tuple[ProjPoint, ...]:
     """Poles of the member lines, in order; all off the conic when valid."""
     _require_valid(config)
-    if config._poles is None:
-        config._poles = tuple(pole(l) for l in config.lines)
-    return config._poles
+    return tuple(pole(l) for l in config.lines)
 
 
 def pole_involutions(config: LineConfiguration) -> InvolutionChain:
-    """The chain u_1, ..., u_n of involutions centered at the poles, built
-    once per configuration, so its product is composed once as well."""
-    if config._chain is None:
-        config._chain = InvolutionChain([fregier(p) for p in poles_of(config)])
-    return config._chain
+    """The chain u_1, ..., u_n of involutions centered at the poles, as
+    objects: the walks and verdicts read the same maps off the lines."""
+    from .involution import InvolutionChain, fregier
+
+    return InvolutionChain([fregier(p) for p in poles_of(config)])
 
 
 def porism_holds(config: LineConfiguration) -> bool:
@@ -214,13 +212,11 @@ def porism_holds(config: LineConfiguration) -> bool:
     if config.kind == "float":
         raise MixedBackend("the porism is decided on exact configurations")
     D, maps = _config_maps(config)
-    (a0, a1, b0, b1, c0, c1, _), *rest = maps
-    if not D:  # rational maps [[p, q], [r, -p]] on plain ints
-        a, b, c, d = a0, b0, c0, -a0
-        for p, _, q, _, r, _, _ in rest:
-            a, b, c, d = p * a + q * c, p * b + q * d, r * a - p * c, r * b - p * d
+    if not D:
+        a, _, _, d = _rational_product(maps)
         return a + d == 0
     # over sqrt(D): rows and columns as pair triples padded with a zero
+    (a0, a1, b0, b1, c0, c1, _), *rest = maps
     a, b, c, d = (a0, a1), (b0, b1), (c0, c1), (-a0, -a1)
     for p0, p1, q0, q1, r0, r1, _ in rest:
         top, low = ((p0, p1), (q0, q1), (0, 0)), ((r0, r1), (-p0, -p1), (0, 0))
@@ -285,6 +281,17 @@ def _line_maps(line_pairs: Sequence[tuple]) -> tuple:
     )
 
 
+def _rational_product(maps: Sequence[tuple]) -> tuple:
+    """The entries (a, b, c, d) of the product M_k ... M_1 of rational maps
+    [[p, q], [r, -p]] from _line_maps, maps[0] applied first, in plain
+    ints."""
+    (p, _, q, _, r, _, _), *rest = maps
+    a, b, c, d = p, q, r, -p
+    for p, _, q, _, r, _, _ in rest:
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a - p * c, r * b - p * d
+    return a, b, c, d
+
+
 def _config_maps(config: LineConfiguration) -> tuple:
     """(D, maps) of a configuration, read off its lines once: D is the
     lines' one radicand, or 0 when all are rational, as a rational line's
@@ -344,7 +351,7 @@ def dual_chain(config: LineConfiguration, start: ConicParam) -> PolygonChain:
         D = u._D
     key = _key_of(start, D)
     if key is None:
-        raise MixedBackend(f"{start!r} lies outside Q(sqrt({D}))")
+        raise MixedBackend(f"{start!r} lies outside Q(sqrt({_text(D)}))")
     forbidden = config._forbidden.get(D)
     if forbidden is None:
         if D:
@@ -402,7 +409,8 @@ def _tangent_walk(
     if not roots.params:
         # an exact start lacks roots only when its discriminant is a
         # non-square in Q(sqrt D): an integer discriminant always has them
-        reach = "the float backend's reach" if start.kind == "float" else f"Q(sqrt({start._D}))"
+        reach = ("the float backend's reach" if start.kind == "float"
+                 else f"Q(sqrt({_text(start._D)}))")
         raise FieldInsufficient(
             f"tangent parameters from {start!r} need a square root outside {reach}"
         )
@@ -556,8 +564,10 @@ def concurrent_tangent_chain(
 
 
 def generate_closing(n: int, seed: int, max_tries: Optional[int] = None) -> LineConfiguration:
-    """A valid n-line configuration for which the porism holds, built by
-    sampling n - 1 poles and completing with a point of the closing locus.
+    """A valid n-line configuration for which the porism holds: the maps of
+    n - 1 sampled lines compose to W, and trace(M_c W) = 0 puts the last
+    center c on the line (w_b : w_a - w_d : -w_c), zero when W is scalar.
+    _admit rejects the tangent polar of a center on the conic.
 
     A pole whose polar _admit rejects is redrawn alone, and a failed
     completion starts a fresh candidate; max_tries (by default a budget that
@@ -566,36 +576,32 @@ def generate_closing(n: int, seed: int, max_tries: Optional[int] = None) -> Line
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
-    members, lines, gathered = [], [], set()
+    lines, gathered = [], set()
 
     def candidate():
-        nonlocal members, lines, gathered
-        while len(members) < n - 1:
-            center = _random_point(rng)
-            line = polar(center)
+        nonlocal lines, gathered
+        while len(lines) < n - 1:
+            line = polar(_random_point(rng))
             if not _admit(line, gathered):
                 return None
-            members.append(fregier(center))
             lines.append(line)
-        chain, polars, admitted = InvolutionChain(members), lines, gathered
+        polars, admitted = lines, gathered
         # whatever the completion gives, the next draw starts a fresh
         # candidate, so that a degenerate locus cannot trap the loop
-        members, lines, gathered = [], [], set()
-        center = point_on_line(closing_center_locus(chain), _random_param(rng))
-        full = chain.extended(fregier(center))
-        line = polar(center)
-        # the last center lies on the locus, so the product has trace
-        # zero: an involution unless it is the identity
-        if is_involution(full.product) and _admit(line, admitted):
+        lines, gathered = [], set()
+        maps = _line_maps([_pairs_over(l, 0) for l in polars])
+        a, b, c, d = _rational_product(maps)
+        if not (b or c or a - d):  # every center closes a scalar product
+            return None
+        line = polar(point_on_line(ProjLine(b, a - d, -c), _random_param(rng)))
+        if _admit(line, admitted):
             config = LineConfiguration([*polars, line])
-            # the pole of each polar is its center, so full is the
-            # configuration's pole-involution chain
-            config._chain = full
+            config._maps = 0, maps + _line_maps([_pairs_over(line, 0)])
+            config._admitted = admitted
             return config
 
     tries = _budget(n, max_tries)
-    return _redraw(candidate, tries, f"no closing configuration after {tries} tries",
-                   (CenterOnConic, IdentityMap))
+    return _redraw(candidate, tries, f"no closing configuration after {tries} tries")
 
 
 def random_configuration(n: int, seed: int, max_tries: Optional[int] = None) -> LineConfiguration:

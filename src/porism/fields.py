@@ -40,6 +40,19 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def _text(x) -> str:
+    """str(x), but an int past the interpreter's limit on integer strings,
+    alone or as a Fraction's term, is written as its bit length: a repr,
+    and so an error message naming a huge value, never raises."""
+    if type(x) is Fraction:
+        num = _text(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_text(x.denominator)}"
+    try:
+        return str(x)
+    except ValueError:  # only an int over the limit raises here
+        return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
+
+
 def _quotient(num, den) -> Scalar:
     """num / den, exact when both are ints: rational coordinates are plain
     ints, and int / int would leak a float."""
@@ -100,7 +113,8 @@ def _operator(kernel, reflected: bool = False):
                 raise MixedBackend("exact extension element mixed with float")
             if isinstance(other, QuadExt):
                 raise MixedBackend(
-                    f"incompatible extensions Q(sqrt({self._D})) and Q(sqrt({other._D}))"
+                    f"incompatible extensions Q(sqrt({_text(self._D)})) and "
+                    f"Q(sqrt({_text(other._D)}))"
                 )
             return NotImplemented
         x = (self._a, self._b, self._c)
@@ -214,7 +228,7 @@ class QuadExt:
         return ((a << k) + (root if b > 0 else -root)) / (c << k)
 
     def __repr__(self):
-        return f"QuadExt({self.a}, {self.b}, d={self.d})"
+        return f"QuadExt({_text(self.a)}, {_text(self.b)}, d={_text(self._D)})"
 
 
 def sqrt_scalar(x: Scalar) -> Scalar:
@@ -244,7 +258,7 @@ def _quadext_sqrt(x: QuadExt) -> QuadExt:
     # (p + q sqrt(d))^2 = x requires p^2 = (a ± sqrt(norm))/2 rational square.
     rn = rational_sqrt(x.norm())
     if rn is None:
-        raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({x._D}))")
+        raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({_text(x._D)}))")
     for sign in (rn, -rn):
         p2 = (x.a + sign) / 2
         p = rational_sqrt(p2)
@@ -253,7 +267,7 @@ def _quadext_sqrt(x: QuadExt) -> QuadExt:
             candidate = QuadExt(p, q, x._D)
             if candidate * candidate == x:
                 return candidate
-    raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({x._D}))")
+    raise FieldInsufficient(f"sqrt of {x!r} leaves Q(sqrt({_text(x._D)}))")
 
 
 def scalar_kind(x: Scalar) -> str:

@@ -136,12 +136,8 @@ class InvolutionChain:
         return len(self.members)
 
     def extended(self, f: FregierInvolution) -> "InvolutionChain":
-        """The chain with f appended; a product already composed is carried
-        over as f.map composed after it."""
-        chain = InvolutionChain(self.members + (f,))
-        if self._product is not None:
-            chain._product = mobius_compose(f.map, self._product)
-        return chain
+        """The chain with f appended."""
+        return InvolutionChain(self.members + (f,))
 
 
 def aligned_centers_involutive(chain: InvolutionChain) -> bool:

@@ -51,6 +51,7 @@ from .fields import (
     Scalar,
     _ext,
     _quotient,
+    _text,
     scalar_kind,
     sqrt_scalar,
 )
@@ -100,7 +101,8 @@ def _normalize(coords: tuple) -> tuple:
     if types <= _EXACT:
         radicands = {c._D for c in coords if type(c) is QuadExt}
         if len(radicands) > 1:
-            raise MixedBackend(f"entries over the radicands {sorted(radicands)}")
+            listed = ", ".join(map(_text, sorted(radicands)))
+            raise MixedBackend(f"entries over the radicands [{listed}]")
         canon, D, pairs = _pair_canonical(_to_pairs(coords), radicands.pop())
         return canon, "exact", D, pairs
     if types <= _FLOAT:
@@ -213,7 +215,7 @@ class _ProjTriple:
         return hash((type(self).__name__, self._coords, self._pairs))
 
     def __repr__(self):
-        body = ":".join(str(c) for c in self.coords)
+        body = ":".join(map(_text, self.coords))
         return f"{type(self).__name__}({body})"
 
 
@@ -245,7 +247,7 @@ def _pairs_over(t: _ProjTriple, D: int) -> tuple:
         x0, x1, x2 = t._coords
         return (x0, 0), (x1, 0), (x2, 0)
     if t._D != D:
-        raise MixedBackend(f"triples over the radicands {t._D} and {D}")
+        raise MixedBackend(f"triples over the radicands {_text(t._D)} and {_text(D)}")
     return t._pairs
 
 
@@ -493,7 +495,7 @@ class ConicParam:
         return hash(self._pair)
 
     def __repr__(self):
-        return "ConicParam(inf)" if self.is_infinite else f"ConicParam({self.value})"
+        return "ConicParam(inf)" if self.is_infinite else f"ConicParam({_text(self.value)})"
 
 
 INFINITY = ConicParam.infinity()
@@ -546,8 +548,7 @@ class MobiusMap:
         return hash(self.mat)
 
     def __repr__(self):
-        m = self.mat
-        return f"MobiusMap([[{m.a}, {m.b}], [{m.c}, {m.d}]])"
+        return "MobiusMap([[{}, {}], [{}, {}]])".format(*map(_text, self.mat.entries()))
 
 
 def mobius_apply(g: MobiusMap, t: ConicParam) -> ConicParam:

@@ -253,6 +253,8 @@ def test_scene_commands_load_neither_suites_nor_dataclasses(tmp_path):
         loaded = _footprint(args, cwd=tmp_path)
         assert "porism.suites" not in loaded, args
         assert "dataclasses" not in loaded, args
+        # generating and deciding read the maps off the lines
+        assert "porism.involution" not in loaded, args
     assert "porism.closure" not in loaded  # plot builds no configuration
 
 

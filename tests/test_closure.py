@@ -11,6 +11,9 @@ from porism.algebra import Mat2, is_scalar_multiple_of_identity, pn_polynomial
 from porism.closure import (
     LineConfiguration,
     ValidityReport,
+    _config_maps,
+    _line_maps,
+    _rational_product,
     _repeats,
     _require_valid,
     _walk_keys,
@@ -34,6 +37,7 @@ from porism.conic import (
     on_conic,
     other_tangent_param,
     polar,
+    pole,
     tangent_at,
     tangents_from,
     veronese,
@@ -41,18 +45,21 @@ from porism.conic import (
 from porism.errors import (
     DegenerateStart,
     FieldInsufficient,
+    GenerationExhausted,
+    IdentityMap,
     InvalidConfiguration,
     MixedBackend,
     NotClosed,
 )
 from porism.fields import QuadExt
-from porism.involution import InvolutionChain, fregier
+from porism.involution import InvolutionChain, closing_center_locus, fregier
 from porism.plane import (
     INFINITY,
     ConicParam,
     MobiusMap,
     ProjLine,
     ProjPoint,
+    _pairs_over,
     collinear,
     cross_ratio,
     fixed_points,
@@ -259,6 +266,31 @@ def test_repeats_of_float_values_compare_within_tolerance():
         LineConfiguration([ProjLine(1.0, 0.0, -1.0), ProjLine(2.0, 0.0, -2.0 + 1e-12)])
 
 
+def test_reprs_write_ints_past_the_digit_limit_by_bit_length(digit_limit_640):
+    huge = 10**700  # 2326 bits
+    assert repr(ProjPoint(huge, -1, 3)) == "ProjPoint(<2326-bit int>:-1:3)"
+    assert repr(ConicParam(F(-huge, 3))) == "ConicParam(-<2326-bit int>/3)"
+    assert repr(QuadExt(F(1, huge), 3, 2)) == "QuadExt(1/<2326-bit int>, 3, d=2)"
+    assert repr(MobiusMap(huge, 0, 0, 1)) == "MobiusMap([[<2326-bit int>, 0], [0, 1]])"
+    assert repr(ConicParam(F(2, 3))) == "ConicParam(2/3)"
+    # so the typed errors whose messages name such values stay typed
+    line = chord(ConicParam(F(huge)), ConicParam(F(0)))
+    with pytest.raises(InvalidConfiguration, match="repeated line ProjLine"):
+        LineConfiguration([line, line])
+    config = LineConfiguration([line, ProjLine(1, 0, -1)])
+    with pytest.raises(DegenerateStart, match=r"^ConicParam\(<2326-bit int>\) lies on"):
+        dual_chain(config, ConicParam(F(huge)))
+    roots = [QuadExt(0, 1, huge + k) for k in (3, 7)]  # non-squares, ending in 3 and 7
+    with pytest.raises(MixedBackend, match=r"radicands \[<2326-bit int>, <2326-bit int>\]$"):
+        LineConfiguration([ProjLine(1, r, 1) for r in roots])
+    with pytest.raises(MixedBackend, match=r"radicands \[<2326-bit int>, <2326-bit int>\]$"):
+        ProjLine(1, *roots)
+    with pytest.raises(MixedBackend, match="radicands <2326-bit int> and <2326-bit int>$"):
+        incident(ProjLine(1, roots[0], 1), ProjPoint(1, roots[1], 1))
+    with pytest.raises(MixedBackend, match=r"Q\(sqrt\(<2326-bit int>\)\)$"):
+        roots[0] + roots[1]
+
+
 def test_poles_frozen():
     config = LineConfiguration([ProjLine(1, 0, 1), ProjLine(0, 1, 0)])
     assert poles_of(config)[0] == ProjPoint(1, 0, 1)
@@ -277,7 +309,6 @@ def test_porism_holds_frozen():
     assert chain.members[0].map == MobiusMap(0, 1, 1, 0)
     assert chain.members[1].map == MobiusMap(1, 0, 0, -1)
     assert chain.product == MobiusMap(0, -1, 1, 0)  # t -> -1/t
-    assert pole_involutions(X0_CONFIG) is chain  # built once per configuration
 
 
 def test_dual_chain_frozen():
@@ -454,6 +485,9 @@ def test_dual_chain_is_the_iterated_mobius_action(generator, n, seed, start):
     # the trace of the maps' product decides as the public product does
     fresh = LineConfiguration(config.lines)
     assert porism_holds(config) == is_involution(pole_involutions(fresh).product)
+    # a generator hands over the maps and admitted keys a fresh reading gives
+    assert config._maps == _config_maps(fresh)
+    assert config._admitted == fresh._admitted
 
 
 @settings(max_examples=40, deadline=None)
@@ -651,10 +685,11 @@ def test_generate_closing_produces_closing_configs(n):
     assert config.n == n
     assert config.report.valid
     assert porism_holds(config)
-    # the cached chain's product, carried over from n - 1 members, is the
-    # product composed afresh
+    # the centers are the poles: the last one lies on the closing locus of
+    # the first n - 1
     chain = pole_involutions(config)
-    assert chain.product == InvolutionChain(chain.members).product
+    head = InvolutionChain(chain.members[:-1])
+    assert incident(closing_center_locus(head), chain.members[-1].center)
     rng = random.Random(n)
     closed = 0
     while closed < 5:
@@ -688,6 +723,42 @@ def test_generate_closing_pole_alignment_by_n():
     config = generate_closing(4, seed=2)
     assert porism_holds(config)
     assert not collinear(poles_of(config))
+
+
+coord = st.integers(-9, 9)
+
+
+@settings(max_examples=200, deadline=None)
+@example([(1, 0, -1), (0, 1, 0), (1, 0, 1)])  # the maps compose to 4 I
+@given(st.lists(st.tuples(coord, coord, coord).filter(any), min_size=1, max_size=12))
+def test_locus_of_the_integer_product_is_the_closing_center_locus(triples):
+    # the maps read off the lines compose as the pole involutions do: the
+    # same locus, and a scalar product where closing_center_locus refuses
+    gathered, lines = set(), []
+    for t in triples:
+        line = ProjLine(*t)
+        if _admit(line, gathered):
+            lines.append(line)
+    assume(lines)
+    a, b, c, d = _rational_product(_line_maps([_pairs_over(l, 0) for l in lines]))
+    chain = InvolutionChain([fregier(pole(l)) for l in lines])
+    if b or c or a - d:
+        assert ProjLine(b, a - d, -c) == closing_center_locus(chain)
+    else:
+        with pytest.raises(IdentityMap):
+            closing_center_locus(chain)
+
+
+def test_generate_closing_rejects_a_scalar_product_before_drawing_a_center(monkeypatch):
+    # the polars of these poles are the lines (1, 0, -1), (0, 1, 0), (1, 0, 1)
+    poles = iter([ProjPoint(1, 0, -1), ProjPoint(0, 1, 0), ProjPoint(1, 0, 1)])
+    monkeypatch.setattr("porism.closure._random_point", lambda rng: next(poles))
+    drawn = []
+    monkeypatch.setattr("porism.closure._random_param",
+                        lambda *args: drawn.append(args) or _random_param(*args))
+    with pytest.raises(GenerationExhausted, match=r"^no closing configuration after 1 tries$"):
+        generate_closing(4, 0, max_tries=1)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -747,6 +818,8 @@ GENERATOR_DIGESTS = {
     (generate_closing, 32, 14): "dce141eb4a15f4fcf2ad40c6830dabc1a31873cacdaff2f1630ca5fc27b8f031",
     (random_configuration, 32, 14): "6bf2334f38f6e3ac61b1684f4fd9283373e7cd1b879d43fad63f8341e1c6c1e8",
     (generate_closing, 16, 8): "4903c601681191ecefad76737542f26aca1121c21334adec3af9c1e0dc3ea1c9",
+    (generate_closing, 1024, 0): "3ab95348d32c389be33eb63e7420153c2a033ae07388d16099e0b05fdbc298e9",
+    (random_configuration, 1024, 0): "149e32a740cbf10f640365a8ec96f49a37e058db84c3c394c468e3f3c9d5799f",
 }
 
 
