@@ -7,6 +7,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .fields import _text
+
 
 class Polynomial:
     """Dense univariate polynomial, coefficients lowest degree first.
@@ -97,11 +99,11 @@ class Polynomial:
             if c == 0:
                 continue
             if i == 0:
-                terms.append(str(c))
+                terms.append(_text(c))
             elif i == 1:
-                terms.append(f"{c}*x" if c != 1 else "x")
+                terms.append(f"{_text(c)}*x" if c != 1 else "x")
             else:
-                terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
+                terms.append(f"{_text(c)}*x^{i}" if c != 1 else f"x^{i}")
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
@@ -165,7 +167,15 @@ class Mat2:
         return hash(self.entries())
 
     def __repr__(self):
-        return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
+        return "Mat2({}, {}, {}, {})".format(*map(_repr, self.entries()))
+
+
+def _repr(x) -> str:
+    """repr(x), but an int, alone or as a Fraction's term, is written by
+    fields._text, so a repr past the digit limit never raises."""
+    if type(x) is Fraction:
+        return f"Fraction({_text(x.numerator)}, {_text(x.denominator)})"
+    return _text(x) if type(x) is int else repr(x)
 
 
 def is_scalar_multiple_of_identity(m: Mat2) -> bool:

@@ -76,13 +76,13 @@ def chord(s: ConicParam, t: ConicParam) -> ProjLine:
         raise EqualParameters(f"chord needs distinct parameters, got {s!r} twice")
     u1, v1 = s.pair()
     u2, v2 = t.pair()
-    return ProjLine(u1 * u2, -(u1 * v2 + u2 * v1), v1 * v2)
+    return _triple(ProjLine, (u1 * u2, -(u1 * v2 + u2 * v1), v1 * v2))
 
 
 def tangent_at(t: ConicParam) -> ProjLine:
     """The tangent line at veronese(t): (t^2 : -2t : 1)."""
     u, v = t.pair()
-    return ProjLine(u * u, -2 * u * v, v * v)
+    return _triple(ProjLine, (u * u, -2 * u * v, v * v))
 
 
 def polar(p: ProjPoint) -> ProjLine:

@@ -301,7 +301,7 @@ def _cross_triple(cls, u: _ProjTriple, v: _ProjTriple):
     integer pairs when either lies in an extension."""
     D = u._D or v._D
     if D is None:
-        return cls(*_cross(u._coords, v._coords))
+        return _triple(cls, _cross(u._coords, v._coords))
     pairs = _pair_cross(_pairs_over(u, D), _pairs_over(v, D), D)
     return cls._from_pairs(pairs, D)
 
@@ -394,10 +394,18 @@ def line_basis(l: ProjLine) -> tuple[ProjPoint, ProjPoint]:
 def point_on_line(l: ProjLine, t: "ConicParam") -> ProjPoint:
     """The point p1 + t.p2 on l, where (p1, p2) = line_basis(l); t = infinity
     selects p2. Sweeping t sweeps the whole line exactly once."""
+    return _points_on_line(l, (t,))[0]
+
+
+def _points_on_line(l: ProjLine, params) -> list:
+    """point_on_line(l, t) for each t in params, from one line_basis(l)."""
     p1, p2 = line_basis(l)
-    u, v = t.pair()
-    coords = tuple(v * x + u * y for x, y in zip(p1.coords, p2.coords))
-    return _triple(ProjPoint, coords)
+    c1, c2 = p1.coords, p2.coords
+    points = []
+    for t in params:
+        u, v = t.pair()
+        points.append(_triple(ProjPoint, tuple(v * x + u * y for x, y in zip(c1, c2))))
+    return points
 
 
 def _repeats(items: Sequence) -> list:

@@ -19,10 +19,9 @@ from typing import Any, Callable, Optional, Union
 
 from .algebra import det3
 from .closure import concurrent_tangent_chain
-from .conic import line_conic_params, on_conic
+from .conic import is_tangent, on_conic
 from .errors import (
     CenterOnConic,
-    DegenerateConstruction,
     DegeneratePolygon,
     DegenerateStart,
     GenerationExhausted,
@@ -45,6 +44,7 @@ from .plane import (
     ConicParam,
     ProjLine,
     ProjPoint,
+    _points_on_line,
     cross_ratio,
     fixed_points,
     incident,
@@ -189,7 +189,7 @@ def make_aligned_instance(
         k = length if length is not None else rng.choice((3, 5, 7))
         line = _random_secant_line(rng)
         params = _distinct_params(rng, k)
-        if any(on_conic(point_on_line(line, s)) for s in params):
+        if any(map(on_conic, _points_on_line(line, params))):
             return None
         return AlignedInstance(line, tuple(params))
 
@@ -197,7 +197,7 @@ def make_aligned_instance(
 
 
 def _aligned_chain(instance: AlignedInstance) -> InvolutionChain:
-    centers = [point_on_line(instance.line, s) for s in instance.center_params]
+    centers = _points_on_line(instance.line, instance.center_params)
     return InvolutionChain([fregier(c) for c in centers])
 
 
@@ -223,15 +223,15 @@ class MoebiusInstance:
     seeds: tuple[ConicParam, ConicParam]
 
 
-def _moebius_polygons(instance: MoebiusInstance):
-    centers = [point_on_line(instance.line, s) for s in instance.center_params]
-    involutions = [fregier(c) for c in centers]
-    xs = [instance.seeds[0]]
-    ys = [instance.seeds[1]]
-    for inv in involutions:
+def _moebius_polygons(centers, seeds) -> tuple[list, list]:
+    """The two polygons pushed from the seeds through the involutions at
+    the centers."""
+    xs = [seeds[0]]
+    ys = [seeds[1]]
+    for inv in map(fregier, centers):
         xs.append(inv(xs[-1]))
         ys.append(inv(ys[-1]))
-    return xs, ys, centers
+    return xs, ys
 
 
 def make_moebius_instance(
@@ -243,23 +243,24 @@ def make_moebius_instance(
         size = n if n is not None else rng.choice((3, 4, 5, 6))
         line = _random_secant_line(rng)
         params = _distinct_params(rng, size - 1)
-        if any(on_conic(point_on_line(line, s)) for s in params):
+        centers = _points_on_line(line, params)
+        if any(map(on_conic, centers)):
             return None
         seeds = _distinct_params(rng, 2)
-        instance = MoebiusInstance(size, line, tuple(params), tuple(seeds))
-        xs, ys, _ = _moebius_polygons(instance)
+        xs, ys = _moebius_polygons(centers, seeds)
         if len(set(xs + ys)) != 2 * size:
             return None
-        moebius_check(xs, ys)  # a degenerate construction or polygon raises
+        # the dual check runs moebius_check(xs, ys) too; a degenerate pair raises
         dual_moebius_check(tuple(xs) + tuple(ys))
-        return instance
+        return MoebiusInstance(size, line, tuple(params), tuple(seeds))
 
     return _redraw(draw, MAX_RESAMPLES, "inscribed-polygon sampling kept degenerating",
-                   (CenterOnConic, DegenerateConstruction, DegeneratePolygon), tally)
+                   (CenterOnConic, DegeneratePolygon), tally)
 
 
 def check_moebius(instance: MoebiusInstance) -> bool:
-    xs, ys, centers = _moebius_polygons(instance)
+    centers = _points_on_line(instance.line, instance.center_params)
+    xs, ys = _moebius_polygons(centers, instance.seeds)
     report = moebius_check(xs, ys)
     if not (report.hypothesis_met and report.conclusion):
         return False
@@ -273,7 +274,8 @@ def check_moebius(instance: MoebiusInstance) -> bool:
 
 
 def check_dual_moebius(instance: MoebiusInstance) -> bool:
-    xs, ys, _ = _moebius_polygons(instance)
+    centers = _points_on_line(instance.line, instance.center_params)
+    xs, ys = _moebius_polygons(centers, instance.seeds)
     report = dual_moebius_check(tuple(xs) + tuple(ys))
     return bool(
         report.hypothesis_met and report.conclusion and report.agrees_with_primal
@@ -300,7 +302,7 @@ def make_dalignes_instance(
         pencil = {}  # an ordered set
         for _ in range(50 * m):
             other = _random_point(rng, SPAN)
-            if other != apex and not line_conic_params(l := join(apex, other)).double:
+            if other != apex and not is_tangent(l := join(apex, other)):
                 pencil[l] = None
                 if len(pencil) == m:
                     break

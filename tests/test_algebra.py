@@ -89,3 +89,16 @@ def test_det3_frozen_values():
 def test_det3_alternating(r1, r2, r3):
     assert det3(r1, r2, r3) == -det3(r2, r1, r3)
     assert det3(r1, r1, r3) == 0
+
+
+def test_reprs_write_ints_past_the_digit_limit_by_bit_length(digit_limit_640):
+    huge = 10**700  # 2326 bits
+    assert repr(Mat2(huge, 0, 0, 1)) == "Mat2(<2326-bit int>, 0, 0, 1)"
+    assert repr(Mat2(Fraction(-huge, 3), 0, 0, 1)) == "Mat2(Fraction(-<2326-bit int>, 3), 0, 0, 1)"
+    assert repr(Polynomial([huge, 1])) == "Polynomial(<2326-bit int> + x)"
+    # short values print as repr and str write them
+    assert repr(Mat2.identity()) == (
+        "Mat2(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))")
+    assert repr(Mat2(1, -2, 3, 4)) == "Mat2(1, -2, 3, 4)"
+    assert repr(Polynomial([Fraction(1, 2), 1, -3, 0, 2])) == (
+        "Polynomial(1/2 + x + -3*x^2 + 2*x^4)")

@@ -2,13 +2,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from porism.algebra import Mat2
 from porism.conic import on_conic, pole, tangent_at, veronese
 from porism.errors import (
     CenterOnConic,
+    DegenerateConstruction,
     DegenerateHexagon,
+    DegeneratePolygon,
     EqualParameters,
     NotInvolution,
     SharedFixedPoint,
@@ -318,6 +320,31 @@ def test_dual_moebius_agrees_with_primal():
     assert report.agrees_with_primal
     for diag, point in zip(report.diagonals, report.primal.points):
         assert pole(diag) == point
+
+
+def _polygon_pair(values):
+    ts = tuple(INFINITY if v is None else ConicParam(Fraction(v)) for v in values)
+    n = len(ts) // 2
+    return ts[:n], ts[n:]
+
+
+crowded = st.one_of(st.none(), st.integers(-3, 3))  # None is infinity
+
+
+@given(st.integers(3, 5).flatmap(lambda n: st.lists(crowded, min_size=2 * n, max_size=2 * n)))
+@example([0, 1, 2, 3, 1, 4])  # x_2 = y_2
+@example([0, 1, 2, 1, 0, 5])  # chord(x_1, x_2) = chord(y_1, y_2)
+@example([None, 1, 2, 3, 4, None, 5, 6])
+def test_dual_check_reraises_the_primal_degeneracy(values):
+    # the moebius suite's draw runs only dual_moebius_check and counts on it
+    # to reject every polygon pair that moebius_check rejects
+    xs, ys = _polygon_pair(values)
+    try:
+        moebius_check(xs, ys)
+    except DegenerateConstruction as exc:
+        with pytest.raises(DegeneratePolygon) as caught:
+            dual_moebius_check(xs + ys)
+        assert str(caught.value) == str(exc)
 
 
 @given(params, params)

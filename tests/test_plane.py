@@ -3,8 +3,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from porism.conic import chord, tangent_at
 from porism.errors import (
     CoincidentLines,
     CoincidentPoints,
@@ -33,7 +34,7 @@ from porism.plane import (
     mobius_compose,
     point_on_line,
 )
-from porism.plane import _entries, _normalize
+from porism.plane import _entries, _normalize, _points_on_line
 
 fractions = st.fractions(min_value=-40, max_value=40, max_denominator=10)
 params = st.builds(ConicParam, fractions)
@@ -122,6 +123,68 @@ def test_line_basis_spans(p):
     b1, b2 = line_basis(l)
     assert incident(l, b1) and incident(l, b2)
     assert b1 != b2
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+surds = st.builds(lambda a, b: QuadExt(a, b, 2), small, small.filter(bool))
+small_floats = st.floats(min_value=-9, max_value=9).filter(lambda x: x == 0 or abs(x) > 1e-3)
+
+
+def _line_and_params(entries, values):
+    """(line, params) with the line's entries and params from values, over
+    one backend; INFINITY is always a parameter."""
+    triple = st.tuples(entries, entries, entries).filter(
+        lambda t: any(x != 0 for x in t))
+    params = st.lists(st.builds(ConicParam, values), max_size=5)
+    return st.tuples(triple.map(lambda t: ProjLine(*t)),
+                     params.map(lambda ts: [INFINITY, *ts]))
+
+
+def _canonical(t):
+    return t._coords, t._D, t._pairs, t.kind
+
+
+@given(st.one_of(
+    _line_and_params(small, small),
+    _line_and_params(st.one_of(small, surds), st.one_of(small, surds)),
+    _line_and_params(small_floats, st.one_of(small, small_floats)),
+))
+@example((ProjLine(0, 0, 1), [INFINITY, ConicParam(Fraction(0))]))
+@example((ProjLine(1, QuadExt(0, 1, 2), 3), [INFINITY, ConicParam(QuadExt(1, 1, 2))]))
+def test_points_on_line_match_the_normalized_points(case):
+    # one basis for all the params gives the points that the public
+    # constructor, through the full _normalize, builds from that basis
+    l, ts = case
+    p1, p2 = line_basis(l)
+    expected = []
+    for t in ts:
+        u, v = t.pair()
+        expected.append(ProjPoint(*(v * x + u * y for x, y in zip(p1.coords, p2.coords))))
+    got = _points_on_line(l, ts)
+    assert [_canonical(p) for p in got] == [_canonical(p) for p in expected]
+    assert _canonical(point_on_line(l, ts[-1])) == _canonical(expected[-1])
+
+
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+rational_params = st.one_of(st.just(INFINITY), params)
+
+
+@given(points, points, rational_params, rational_params)
+def test_rational_incidence_matches_the_public_constructor(p, q, s, t):
+    # the int fast paths of join, meet, chord and tangent_at give the
+    # canonical forms of ProjLine(...) / ProjPoint(...) of the same entries
+    if p != q:
+        assert _canonical(join(p, q)) == _canonical(ProjLine(*_cross3(p.coords, q.coords)))
+        l, m = ProjLine(*p.coords), ProjLine(*q.coords)
+        assert _canonical(meet(l, m)) == _canonical(ProjPoint(*_cross3(l.coords, m.coords)))
+    (u1, v1), (u2, v2) = s.pair(), t.pair()
+    if s != t:
+        assert _canonical(chord(s, t)) == _canonical(
+            ProjLine(u1 * u2, -(u1 * v2 + u2 * v1), v1 * v2))
+    assert _canonical(tangent_at(t)) == _canonical(ProjLine(u2 * u2, -2 * u2 * v2, v2 * v2))
 
 
 @given(fractions)

@@ -1,6 +1,10 @@
 """Seeded suite runner: determinism, replay from failure seeds, tallies."""
+import re
+
 import pytest
 
+from porism import involution, suites
+from porism.cli import main
 from porism.errors import UnknownSuite
 from porism.suites import (
     GOLDEN,
@@ -95,3 +99,41 @@ def test_unknown_suite_and_bad_trials():
         run_suite("sextic", trials=1, seed=0)
     with pytest.raises(ValueError):
         run_suite("two", trials=0, seed=0)
+
+
+# resamples of `verify SUITE --trials 300 --seed 3`: a longer stream than the
+# 20-trial frozen digests, on which `two` and `dalignes` redraw
+VERIFY_300_SEED_3 = {
+    "two": 9,
+    "pascal": 0,
+    "aligned": 0,
+    "moebius": 0,
+    "dual-moebius": 0,
+    "dalignes": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_300_SEED_3))
+def test_verify_300_trials_pins_each_stream(capsys, name):
+    assert main(["verify", name, "--trials", "300", "--seed", "3"]) == 0
+    out = re.sub(r"elapsed=\S+", "elapsed=*", capsys.readouterr().out)
+    resamples = VERIFY_300_SEED_3[name]
+    assert out == f"suite {name}: trials=300 failures=0 resamples={resamples} elapsed=*\n"
+
+
+@pytest.mark.parametrize("name", ["moebius", "dual-moebius"])
+def test_a_moebius_trial_runs_the_primal_check_twice(monkeypatch, name):
+    # once in the draw, through dual_moebius_check, and once in the check
+    calls = []
+    primal = involution.moebius_check
+
+    def counted(xs, ys):
+        calls.append(len(xs))
+        return primal(xs, ys)
+
+    monkeypatch.setattr(involution, "moebius_check", counted)
+    monkeypatch.setattr(suites, "moebius_check", counted)
+    tally = ResampleTally()
+    _, ok = run_trial(name, trial_seed(0, 0), tally)
+    assert ok and tally.resamples == 0
+    assert len(calls) == 2
