@@ -2,7 +2,9 @@
 
 Each suite splits into a generator (rng -> instance, redrawn by
 sampling._redraw until the instance is degeneracy-free) and a pure check
-(instance -> bool).
+(instance -> bool). An instance carries what its draw built (the Moebius
+centers and polygons, the dalignes walk) in fields kept out of repr and
+equality, so the check does not build them again.
 A trial failure records the per-trial seed, and replaying that seed alone
 rebuilds the identical instance and verdict, so failures travel well.
 
@@ -13,20 +15,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Optional, Union
 
 from .algebra import det3
-from .closure import concurrent_tangent_chain
+from .closure import TangentClosure, concurrent_tangent_chain
 from .conic import is_tangent, on_conic
-from .errors import (
-    CenterOnConic,
-    DegeneratePolygon,
-    DegenerateStart,
-    GenerationExhausted,
-    UnknownSuite,
-)
+from .errors import DegenerateStart, GenerationExhausted, UnknownSuite
 from .involution import (
     InvolutionChain,
     aligned_centers_involutive,
@@ -215,23 +211,16 @@ def check_aligned(instance: AlignedInstance) -> bool:
 @dataclass(frozen=True)
 class MoebiusInstance:
     """Two seed parameters pushed through n - 1 involutions with collinear
-    centers; the cross-chord points a_1 .. a_{n-1} then land on the line."""
+    centers; the cross-chord points a_1 .. a_{n-1} then land on the line.
+    The draw's centers and the two polygons it pushed ride along."""
 
     n: int
     line: ProjLine
     center_params: tuple[ConicParam, ...]
     seeds: tuple[ConicParam, ConicParam]
-
-
-def _moebius_polygons(centers, seeds) -> tuple[list, list]:
-    """The two polygons pushed from the seeds through the involutions at
-    the centers."""
-    xs = [seeds[0]]
-    ys = [seeds[1]]
-    for inv in map(fregier, centers):
-        xs.append(inv(xs[-1]))
-        ys.append(inv(ys[-1]))
-    return xs, ys
+    centers: tuple[ProjPoint, ...] = field(repr=False, compare=False)
+    xs: tuple[ConicParam, ...] = field(repr=False, compare=False)
+    ys: tuple[ConicParam, ...] = field(repr=False, compare=False)
 
 
 def make_moebius_instance(
@@ -247,25 +236,28 @@ def make_moebius_instance(
         if any(map(on_conic, centers)):
             return None
         seeds = _distinct_params(rng, 2)
-        xs, ys = _moebius_polygons(centers, seeds)
+        xs, ys = [seeds[0]], [seeds[1]]
+        for inv in map(fregier, centers):
+            xs.append(inv(xs[-1]))
+            ys.append(inv(ys[-1]))
+        # 2n distinct parameters leave both Moebius checks nothing to
+        # degenerate: disjoint chords, and tangents, are distinct lines, and
+        # the diagonals join the poles of disjoint chords
         if len(set(xs + ys)) != 2 * size:
             return None
-        # the dual check runs moebius_check(xs, ys) too; a degenerate pair raises
-        dual_moebius_check(tuple(xs) + tuple(ys))
-        return MoebiusInstance(size, line, tuple(params), tuple(seeds))
+        return MoebiusInstance(size, line, tuple(params), tuple(seeds),
+                               tuple(centers), tuple(xs), tuple(ys))
 
     return _redraw(draw, MAX_RESAMPLES, "inscribed-polygon sampling kept degenerating",
-                   (CenterOnConic, DegeneratePolygon), tally)
+                   tally=tally)
 
 
 def check_moebius(instance: MoebiusInstance) -> bool:
-    centers = _points_on_line(instance.line, instance.center_params)
-    xs, ys = _moebius_polygons(centers, instance.seeds)
-    report = moebius_check(xs, ys)
+    report = moebius_check(instance.xs, instance.ys)
     if not (report.hypothesis_met and report.conclusion):
         return False
     # generator invariant: the first n - 1 points are the centers themselves
-    if any(report.points[j] != centers[j] for j in range(instance.n - 1)):
+    if any(report.points[j] != instance.centers[j] for j in range(instance.n - 1)):
         return False
     return incident(instance.line, report.points[-1])
 
@@ -274,9 +266,7 @@ def check_moebius(instance: MoebiusInstance) -> bool:
 
 
 def check_dual_moebius(instance: MoebiusInstance) -> bool:
-    centers = _points_on_line(instance.line, instance.center_params)
-    xs, ys = _moebius_polygons(centers, instance.seeds)
-    report = dual_moebius_check(tuple(xs) + tuple(ys))
+    report = dual_moebius_check(instance.xs + instance.ys)
     return bool(
         report.hypothesis_met and report.conclusion and report.agrees_with_primal
     )
@@ -287,8 +277,12 @@ def check_dual_moebius(instance: MoebiusInstance) -> bool:
 
 @dataclass(frozen=True)
 class DalignesInstance:
+    """A start on the first line of an odd pencil, and the walk the draw
+    made from it."""
+
     lines: tuple[ProjLine, ...]
     start: ProjPoint
+    walk: TangentClosure = field(repr=False, compare=False)
 
 
 def make_dalignes_instance(
@@ -310,18 +304,15 @@ def make_dalignes_instance(
             return None
         lines = tuple(pencil)
         start = point_on_line(lines[0], _random_param(rng, SPAN))
-        if on_conic(start) or any(incident(l, start) for l in lines[1:]):
-            return None
-        concurrent_tangent_chain(lines, start)  # DegenerateStart is a rejection
-        return DalignesInstance(lines, start)
+        # a start on the conic or on a second line raises DegenerateStart
+        return DalignesInstance(lines, start, concurrent_tangent_chain(lines, start))
 
     return _redraw(draw, MAX_RESAMPLES, "concurrent-pencil sampling kept degenerating",
                    DegenerateStart, tally)
 
 
 def check_dalignes(instance: DalignesInstance) -> bool:
-    closure = concurrent_tangent_chain(instance.lines, instance.start)
-    return closure.closing_tangent and closure.discriminant == 0
+    return instance.walk.closing_tangent and instance.walk.discriminant == 0
 
 
 # ------------------------------------------------------------------- runner

@@ -336,8 +336,8 @@ crowded = st.one_of(st.none(), st.integers(-3, 3))  # None is infinity
 @example([0, 1, 2, 1, 0, 5])  # chord(x_1, x_2) = chord(y_1, y_2)
 @example([None, 1, 2, 3, 4, None, 5, 6])
 def test_dual_check_reraises_the_primal_degeneracy(values):
-    # the moebius suite's draw runs only dual_moebius_check and counts on it
-    # to reject every polygon pair that moebius_check rejects
+    # dual_moebius_check rejects every polygon pair that moebius_check
+    # rejects, with the same message
     xs, ys = _polygon_pair(values)
     try:
         moebius_check(xs, ys)
@@ -345,6 +345,20 @@ def test_dual_check_reraises_the_primal_degeneracy(values):
         with pytest.raises(DegeneratePolygon) as caught:
             dual_moebius_check(xs + ys)
         assert str(caught.value) == str(exc)
+
+
+distinct_polygons = st.integers(3, 7).flatmap(lambda n: st.lists(
+    st.one_of(st.just(INFINITY), params), min_size=2 * n, max_size=2 * n, unique=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(distinct_polygons)
+@example([INFINITY, *(ConicParam(Fraction(k)) for k in range(5))])
+def test_distinct_parameters_leave_the_moebius_checks_nothing_to_degenerate(ts):
+    # the moebius suite's draw rests on this: once its 2n parameters are
+    # pairwise distinct, neither check can raise, so it runs neither
+    report = dual_moebius_check(ts)
+    assert report.agrees_with_primal
 
 
 @given(params, params)

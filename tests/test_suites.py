@@ -1,9 +1,10 @@
 """Seeded suite runner: determinism, replay from failure seeds, tallies."""
+import dataclasses
 import re
 
 import pytest
 
-from porism import involution, suites
+from porism import closure, involution, suites
 from porism.cli import main
 from porism.errors import UnknownSuite
 from porism.suites import (
@@ -122,8 +123,8 @@ def test_verify_300_trials_pins_each_stream(capsys, name):
 
 
 @pytest.mark.parametrize("name", ["moebius", "dual-moebius"])
-def test_a_moebius_trial_runs_the_primal_check_twice(monkeypatch, name):
-    # once in the draw, through dual_moebius_check, and once in the check
+def test_a_moebius_trial_runs_the_primal_check_once(monkeypatch, name):
+    # in the check alone: the draw's distinct parameters leave it nothing to reject
     calls = []
     primal = involution.moebius_check
 
@@ -136,4 +137,37 @@ def test_a_moebius_trial_runs_the_primal_check_twice(monkeypatch, name):
     tally = ResampleTally()
     _, ok = run_trial(name, trial_seed(0, 0), tally)
     assert ok and tally.resamples == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_a_dalignes_trial_walks_once(monkeypatch):
+    # the draw's walk is both its rejection test and the check's verdict
+    calls = []
+    walk = closure._tangent_walk
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return walk(*args)
+
+    monkeypatch.setattr(closure, "_tangent_walk", counted)
+    tally = ResampleTally()
+    _, ok = run_trial("dalignes", trial_seed(0, 0), tally)
+    assert ok and tally.resamples == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["moebius", "dalignes"])
+def test_carried_fields_stay_out_of_repr_and_equality(name):
+    broken = SUITES[name].broken(lambda instance: False)
+    report = run_suite(broken, trials=3, seed=5)
+    assert len(report.failures) == 3
+    for failure in report.failures:
+        instance, ok = run_trial(name, failure.seed)
+        assert ok
+        assert repr(instance) == failure.instance
+        carried = [f.name for f in dataclasses.fields(instance) if not f.repr]
+        assert carried and all(f"{f}=" not in failure.instance for f in carried)
+        # a copy without the draw's results is still the same instance
+        emptied = dataclasses.replace(instance, **dict.fromkeys(carried))
+        assert emptied == instance and hash(emptied) == hash(instance)
+        assert repr(emptied) == repr(instance)
